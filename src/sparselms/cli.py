@@ -7,11 +7,14 @@ Subcommands
 ``experiment``  both, plus a JSON run manifest
 ``compare``     per-point dB gap report between two CSV files
 
-File conventions: ``<name>_<snr>dB_<quantity>.csv``.  Steady-state sweep
-files carry ``(param, msd_theory, msd_sim, msd_sim_ci)``, learning-curve
-files ``(n, msd_theory, msd_sim)``; every MSD column also appears as a
-``*_db`` column.  Linear values are written with 17 significant digits,
-dB values with 4 decimals.
+File conventions: ``<name>_<label>_<quantity>[_theory|_sim].csv``, where
+the label is ``<snr>dB`` (``Pv<value>`` for a config with an explicit
+noise power) and the ``_theory``/``_sim`` suffix marks a theory-only or
+simulation-only run.  Steady-state sweep files carry ``(param,
+msd_theory, msd_sim, msd_sim_ci)``, learning-curve files ``(n,
+msd_theory, msd_sim)``; every MSD column except ``msd_sim_ci`` also
+appears as a ``*_db`` column.  Linear values are written with 17
+significant digits, dB values with 4 decimals.
 
 Exit codes: 0 success, 1 validation error, 2 divergence detected,
 3 tolerance failure in ``compare``.
@@ -33,12 +36,11 @@ import numpy as np
 
 from . import __version__, theory
 from .kernels import AlgoParams, Variant
-from .simulate import (ExperimentSpec, monte_carlo, noise_power,
-                       resolve_kappa)
+from .simulate import (ExperimentSpec, default_iterations, monte_carlo,
+                       noise_power, resolve_kappa)
 
 ENV_OUTDIR = "SPARSELMS_OUTDIR"
 DEFAULT_SEED = 1
-PRESET_NAMES = ("exp1", "exp2", "exp3", "exp4", "exp5")
 
 
 class CliError(Exception):
@@ -53,17 +55,6 @@ class CliError(Exception):
 # formatting
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    return f"{x:.17g}"
-
-
-def _fmt_db(x) -> str:
-    return f"{float(x):.4f}"
-
-
 def to_db(x):
     """10*log10, mapping non-positive/NaN inputs to NaN."""
     x = np.asarray(x, dtype=float)
@@ -73,20 +64,24 @@ def to_db(x):
     return out if out.ndim else float(out)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    def fmt_cell(col, val):
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns under ``header``: ``n`` and ``Q`` as
+    integers, ``*_db`` columns with 4 decimals, the rest with 17
+    significant digits."""
+    def text(col, values):
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
         if col in ("n", "Q"):
-            return _fmt(int(val))
-        if col.endswith("_db"):
-            return _fmt_db(val)
-        return _fmt(val)
+            return [str(int(v)) for v in values]
+        spec = ".4f" if col.endswith("_db") else ".17g"
+        return [format(float(v), spec) for v in values]
 
+    cells = [text(c, v) for c, v in zip(header, columns)]
     try:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
-            for row in rows:
-                w.writerow([fmt_cell(c, v) for c, v in zip(header, row)])
+            w.writerows(zip(*cells))
     except OSError as e:
         raise CliError(f"cannot write {path}: {e}", 1)
 
@@ -184,297 +179,98 @@ def load_config(path) -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-point evaluation
+# presets and sweep expansion
 # ---------------------------------------------------------------------------
 
-def _signal(spec: ExperimentSpec) -> theory.SignalModel:
-    return theory.SignalModel(Px=spec.Px, Pv=noise_power(spec))
+@dataclass(frozen=True)
+class Sweep:
+    """What one run sweeps and writes.
+
+    ``axis`` is the ExperimentSpec field that varies and ``values`` its
+    values: a sequence, or a function of the base spec (called after
+    :func:`expand` has resolved the base kappa).  ``kappa`` is the rule
+    :func:`expand` applies.  ``curve`` is None for one steady-state sweep
+    file, else the quantity of one learning-curve file per value
+    (``curve.format(value)``).  ``reference`` adds the ZA/RZA reference
+    columns of :func:`_reference_columns`.
+    """
+
+    axis: str
+    values: object
+    kappa: str = "given"
+    curve: str | None = None
+    reference: bool = False
 
 
-def _theory_steady(spec: ExperimentSpec) -> theory.SteadyStateReport:
-    """Closed-form steady state for a scalar l0/LMS spec (expected
-    strengths)."""
-    st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
-    params = AlgoParams(variant=Variant.L0LMS, mu=spec.mu,
-                        kappa=float(spec.kappa), alpha=spec.alpha)
-    return theory.l0_steady_msd((spec.L, spec.Q, st), params, _signal(spec))
+_PRESET_BASE = dict(L=1000, Q=100, alpha=10.0, trials=100, iterations=30000,
+                    seed=DEFAULT_SEED, variants=(Variant.L0LMS,))
 
 
-def _theory_curve(spec: ExperimentSpec, n_iter: int) -> np.ndarray:
-    variant = spec.variants[0]
-    if variant in (Variant.ZALMS, Variant.RZALMS):
-        return np.full(n_iter + 1, math.nan)
-    kappa = 0.0 if variant is Variant.LMS else float(spec.kappa)
-    st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
-    params = AlgoParams(variant=Variant.L0LMS, mu=spec.mu, kappa=kappa,
-                        alpha=spec.alpha)
-    model = theory.convergence_model((spec.L, spec.Q, st), params,
-                                     _signal(spec))
-    return np.asarray(model.msd(np.arange(n_iter + 1)))
+def _exp1_kappas(spec: ExperimentSpec) -> list[float]:
+    lo, hi = (1e-9, 3e-6) if spec.snr_db >= 30 else (1e-8, 3e-5)
+    return sorted({float(k) for k in np.geomspace(lo, hi, 25)} | {spec.kappa})
 
 
-def _sim_steady(spec: ExperimentSpec, workers: int):
-    """Monte Carlo steady estimate -> (mean, ci_halfwidth, diverged)."""
-    traj = monte_carlo(spec, workers=workers)
-    if traj.diverged:
-        return math.nan, math.nan, True
-    ci = math.nan
-    if traj.trial_steady is not None and traj.trials > 1:
-        ci = 1.96 * float(np.std(traj.trial_steady, ddof=1)) \
-            / math.sqrt(traj.trials)
-    return traj.steady_estimate, ci, False
+def _exp3_sparsities(spec: ExperimentSpec) -> list[int]:
+    # sparsity fractions of L: 50..1000 non-zeros at L=1000
+    return sorted({min(spec.L, max(1, round(f * spec.L)))
+                   for f in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)})
 
 
-# ---------------------------------------------------------------------------
-# experiment runner
-# ---------------------------------------------------------------------------
-
-def _halfdecade(lo: float, n: int) -> list[float]:
-    return [lo * 10.0 ** (k / 2.0) for k in range(n)]
-
-
-_EXP_BASE = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, trials=100,
-                 iterations=30000, seed=DEFAULT_SEED,
-                 variants=(Variant.L0LMS,))
-
-
-def _preset_base(name: str) -> tuple[ExperimentSpec, list[float]]:
-    """Base scalar spec and SNR list for a named preset."""
-    if name == "exp1":
-        return ExperimentSpec(snr_db=40.0, **_EXP_BASE), [40.0, 20.0]
-    if name == "exp2":
-        return ExperimentSpec(snr_db=40.0, **_EXP_BASE), [40.0]
-    if name == "exp3":
-        return ExperimentSpec(snr_db=40.0, **_EXP_BASE), [40.0]
-    if name == "exp4":
-        return ExperimentSpec(snr_db=40.0, **{**_EXP_BASE, "mu": 4e-4}), \
-            [40.0, 20.0]
-    if name == "exp5":
-        return ExperimentSpec(snr_db=40.0, **{**_EXP_BASE, "mu": 4e-4}), \
-            [40.0]
-    raise CliError(f"unknown preset {name!r} (expected one of "
-                   f"{', '.join(PRESET_NAMES)})", 1)
+# name -> (mu, SNRs in dB, sweep); every preset starts from _PRESET_BASE
+# with kappa "OPTIMAL", so each weight derives from the closed-form optimum.
+PRESETS = {
+    "exp1": (8e-4, (40.0, 20.0), Sweep("kappa", _exp1_kappas)),
+    "exp2": (8e-4, (40.0,),
+             Sweep("alpha", [5.6e-4 * 10.0 ** (k / 2.0) for k in range(11)],
+                   "optimal", reference=True)),
+    "exp3": (8e-4, (40.0,), Sweep("Q", _exp3_sparsities, "optimal")),
+    "exp4": (4e-4, (40.0, 20.0),
+             Sweep("kappa", (0.1, 1.0, 10.0), "multiples", "curve_kx{:g}")),
+    "exp5": (4e-4, (40.0,),
+             Sweep("mu", (2e-4, 4e-4), "optimal", "curve_mu{:g}")),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
-class _Runner:
-    """Shared machinery behind the theory / simulate / experiment
-    subcommands: evaluates points, assembles rows, writes files."""
+def expand(base: ExperimentSpec, sweep: Sweep, entry: dict) -> list[tuple]:
+    """Turn one sweep into ``(axis value, scalar spec)`` points.
 
-    def __init__(self, mode: str, out_dir: Path, workers: int):
-        self.want_theory = mode in ("theory", "experiment")
-        self.want_sim = mode in ("simulate", "experiment")
-        self.mode = mode
-        self.out = out_dir
-        self.workers = workers
-        self.files: list[str] = []
-        self.resolved: dict = {}
-        self.diverged = False
+    Each point is ``base`` with ``sweep.axis`` set to the value; its kappa
+    follows the rule ``sweep.kappa``:
 
-    # -- column plumbing ---------------------------------------------------
+    ``"given"``      the base kappa, or the value when the axis is kappa;
+    ``"multiples"``  the value times the base kappa;
+    ``"optimal"``    the closed-form optimum at the point, recorded in
+                     ``entry["kappa_opt_by_<axis>"]`` keyed by the value.
 
-    def _suffix(self) -> str:
-        return {"theory": "_theory", "simulate": "_sim"}.get(self.mode, "")
-
-    def _sweep_header(self, param: str, extras: bool = False) -> list[str]:
-        cols, dbs = [param], []
-        if self.want_theory:
-            cols += ["msd_theory"]
-            dbs += ["msd_theory_db"]
-        if self.want_sim:
-            cols += ["msd_sim", "msd_sim_ci"]
-            dbs += ["msd_sim_db"]
-        if extras:
-            if self.want_theory:
-                cols += ["msd_theory_za"]
-                dbs += ["msd_theory_za_db"]
-            if self.want_sim:
-                cols += ["msd_sim_za", "msd_sim_rza"]
-                dbs += ["msd_sim_za_db", "msd_sim_rza_db"]
-        return cols + dbs
-
-    def _curve_header(self) -> list[str]:
-        cols, dbs = ["n"], []
-        if self.want_theory:
-            cols += ["msd_theory"]
-            dbs += ["msd_theory_db"]
-        if self.want_sim:
-            cols += ["msd_sim"]
-            dbs += ["msd_sim_db"]
-        return cols + dbs
-
-    def _emit(self, name: str, label: str, quantity: str,
-              header: list[str], rows: list[list]) -> None:
-        fn = f"{name}_{label}_{quantity}{self._suffix()}.csv"
-        _write_csv(self.out / fn, header, rows)
-        self.files.append(fn)
-        print(f"wrote {self.out / fn} ({len(rows)} rows)")
-
-    # -- jobs --------------------------------------------------------------
-
-    def steady_sweep(self, name: str, label: str, quantity: str,
-                     param: str, points: list[tuple[float, ExperimentSpec]],
-                     extras: dict | None = None) -> None:
-        rows = []
-        for val, sp in points:
-            lin, dbs = [val], []
-            if self.want_theory:
-                th = _theory_steady(sp).d_inf
-                lin += [th]
-                dbs += [to_db(th)]
-            if self.want_sim:
-                si, ci, div = _sim_steady(sp, self.workers)
-                self.diverged |= div
-                lin += [si, ci]
-                dbs += [to_db(si)]
-            if extras is not None:
-                if self.want_theory:
-                    lin += [extras["theory_za"]]
-                    dbs += [to_db(extras["theory_za"])]
-                if self.want_sim:
-                    rz_s, _, div = _sim_steady(extras["rza_spec_of"](sp),
-                                               self.workers)
-                    self.diverged |= div
-                    lin += [extras["sim_za"], rz_s]
-                    dbs += [to_db(extras["sim_za"]), to_db(rz_s)]
-            rows.append(lin + dbs)
-        self._emit(name, label, quantity,
-                   self._sweep_header(param, extras is not None), rows)
-
-    def curve(self, name: str, label: str, quantity: str,
-              spec: ExperimentSpec) -> None:
-        n_iter = spec.iterations
-        msd_th = _theory_curve(spec, n_iter) if self.want_theory else None
-        msd_si = None
-        if self.want_sim:
-            traj = monte_carlo(spec, workers=self.workers)
-            self.diverged |= traj.diverged
-            msd_si = traj.msd
-        n_rows = n_iter + 1 if msd_si is None else msd_si.size
-        rows = []
-        for n in range(n_rows):
-            lin, dbs = [n], []
-            if msd_th is not None:
-                lin += [msd_th[n]]
-                dbs += [to_db(msd_th[n])]
-            if msd_si is not None:
-                lin += [msd_si[n]]
-                dbs += [to_db(msd_si[n])]
-            rows.append(lin + dbs)
-        self._emit(name, label, quantity, self._curve_header(), rows)
+    Under the first two rules a base kappa of ``"OPTIMAL"`` is resolved
+    once, on the base spec, and recorded as ``entry["kappa_opt"]``.
+    """
+    axis, values, kappa = sweep.axis, sweep.values, sweep.kappa
+    if kappa != "optimal" and base.kappa == "OPTIMAL":
+        base = replace(base, kappa=resolve_kappa(base))
+        entry["kappa_opt"] = base.kappa
+    if callable(values):
+        values = values(base)
+    points, optima = [], {}
+    for v in values:
+        if kappa == "multiples":
+            sp = replace(base, kappa=v * base.kappa)
+        else:
+            sp = replace(base, **{axis: v})
+        if kappa == "optimal":
+            sp = replace(sp, kappa=resolve_kappa(replace(sp, kappa="OPTIMAL")))
+            optima[f"{v:.17g}"] = sp.kappa
+        points.append((v, sp))
+    if optima:
+        entry[f"kappa_opt_by_{axis}"] = optima
+    return points
 
 
-def _low_snr_note(snr: float) -> None:
-    if snr < 30:
-        print(f"note: {snr:g} dB SNR is low; closed forms are approximate "
-              "there, expect a visible theory-vs-simulation gap")
-
-
-def _run_preset(name: str, runner: _Runner, seed: int | None,
-                trials: int | None, scale: float | None,
-                snr_convention: str | None) -> tuple[ExperimentSpec, dict]:
-    base, snrs = _preset_base(name)
-    base = _apply_overrides(base, seed, trials, scale, snr_convention)
-    res = runner.resolved
-    res["snrs"] = list(snrs)
-    res["scale"] = scale if scale is not None else 1.0
-
-    for snr in snrs:
-        key = f"{snr:g}dB"
-        spec0 = replace(base, snr_db=snr)
-        _low_snr_note(snr)
-        res[key] = {"Pv": noise_power(spec0),
-                    "snr_convention": spec0.snr_convention.value}
-
-        if name == "exp1":
-            lo, hi = (1e-9, 3e-6) if snr >= 30 else (1e-8, 3e-5)
-            ko = resolve_kappa(replace(spec0, kappa="OPTIMAL"))
-            res[key]["kappa_opt"] = ko
-            grid = sorted({float(k) for k in np.geomspace(lo, hi, 25)} | {ko})
-            pts = [(k, replace(spec0, kappa=k)) for k in grid]
-            runner.steady_sweep(name, key, "kappa_sweep", "kappa", pts)
-            print(f"kappa_opt({key}) = {ko:.6e}")
-
-        elif name == "exp2":
-            alphas = _halfdecade(5.6e-4, 11)
-            kos = {}
-            pts = []
-            for a in alphas:
-                sp = replace(spec0, alpha=a)
-                ko = resolve_kappa(replace(sp, kappa="OPTIMAL"))
-                kos[f"{a:.17g}"] = ko
-                pts.append((a, replace(sp, kappa=ko)))
-            res[key]["kappa_opt_by_alpha"] = kos
-            Pv = noise_power(spec0)
-            za = theory.za_steady_msd(spec0.L, spec0.Q, spec0.mu, 0.0,
-                                      spec0.Px, Pv)
-            rho = za.rho_opt
-            res[key]["rho_opt"] = rho
-            extras = {
-                "theory_za": theory.za_steady_msd(
-                    spec0.L, spec0.Q, spec0.mu, rho, spec0.Px, Pv).d_inf_za,
-                "sim_za": math.nan,
-                "rza_spec_of": lambda sp: replace(
-                    sp, variants=(Variant.RZALMS,), kappa=rho),
-            }
-            if runner.want_sim:
-                za_spec = replace(spec0, variants=(Variant.ZALMS,),
-                                  kappa=rho, alpha=1.0)
-                sim_za, _, div = _sim_steady(za_spec, runner.workers)
-                runner.diverged |= div
-                extras["sim_za"] = sim_za
-            runner.steady_sweep(name, key, "alpha_sweep", "alpha", pts,
-                                extras=extras)
-
-        elif name == "exp3":
-            # sparsity fractions of L: 50..1000 non-zeros at L=1000
-            fractions = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
-            qs = sorted({min(spec0.L, max(1, round(f * spec0.L)))
-                         for f in fractions})
-            kos = {}
-            pts = []
-            for q in qs:
-                sp = replace(spec0, Q=q)
-                ko = resolve_kappa(replace(sp, kappa="OPTIMAL"))
-                kos[str(q)] = ko
-                pts.append((q, replace(sp, kappa=ko)))
-            res[key]["kappa_opt_by_Q"] = kos
-            runner.steady_sweep(name, key, "Q_sweep", "Q", pts)
-
-        elif name == "exp4":
-            ko = resolve_kappa(replace(spec0, kappa="OPTIMAL"))
-            res[key]["kappa_opt"] = ko
-            for mult in (0.1, 1.0, 10.0):
-                runner.curve(name, key, f"curve_kx{mult:g}",
-                             replace(spec0, kappa=mult * ko))
-            print(f"kappa_opt({key}) = {ko:.6e}")
-
-        elif name == "exp5":
-            kos = {}
-            for mu in (2e-4, 4e-4):
-                sp = replace(spec0, mu=mu)
-                ko = resolve_kappa(replace(sp, kappa="OPTIMAL"))
-                kos[f"{mu:.17g}"] = ko
-                runner.curve(name, key, f"curve_mu{mu:g}",
-                             replace(sp, kappa=ko))
-            res[key]["kappa_opt_by_mu"] = kos
-
-    return replace(base, snr_db=snrs[0]), res
-
-
-def _run_config(spec: ExperimentSpec, name: str, runner: _Runner) -> dict:
-    """Generic config run: one swept parameter -> steady sweep; fully
-    scalar -> learning curve per variant."""
-    res = runner.resolved
-    if spec.snr_db is not None:
-        key = f"{spec.snr_db:g}dB"
-        res["snrs"] = [spec.snr_db]
-        _low_snr_note(spec.snr_db)
-    else:
-        key = f"Pv{spec.Pv:g}"
-        res["snrs"] = []
-    res[key] = {"Pv": noise_power(spec),
-                "snr_convention": spec.snr_convention.value}
-
+def _config_sweep(spec: ExperimentSpec) -> Sweep:
+    """A config sweeps its one swept parameter into a steady-state file,
+    or, when fully scalar, writes one learning curve per variant."""
     swept = [f for f in ("mu", "alpha", "kappa")
              if isinstance(getattr(spec, f), tuple)]
     if len(swept) > 1:
@@ -483,38 +279,155 @@ def _run_config(spec: ExperimentSpec, name: str, runner: _Runner) -> dict:
     if swept:
         if len(spec.variants) != 1:
             raise CliError("a swept config needs exactly one variant", 1)
-        param = swept[0]
-        pts = []
-        for val in getattr(spec, param):
-            sp = replace(spec, **{param: val})
-            if isinstance(sp.kappa, str):
-                sp = replace(sp, kappa=resolve_kappa(sp))
-            pts.append((val, sp))
-        runner.steady_sweep(name, key, f"{param}_sweep", param, pts)
-        return res
+        return Sweep(swept[0], getattr(spec, swept[0]),
+                     "optimal" if spec.kappa == "OPTIMAL" else "given")
+    return Sweep("variants", spec.variants,
+                 curve="curve" if len(spec.variants) == 1
+                 else "curve_{.value}")
 
-    base = spec
-    if isinstance(base.kappa, str):
-        base = replace(base, kappa=resolve_kappa(base))
-        res[key]["kappa_opt"] = base.kappa
-    if base.iterations is None:
-        from .simulate import default_iterations
-        base = replace(base, iterations=default_iterations(
-            base.L, base.Q, base.mu, base.Px))
-    for variant in base.variants:
-        sp = replace(base, variants=(variant,))
-        quantity = "curve" if len(base.variants) == 1 \
-            else f"curve_{variant.value}"
-        runner.curve(name, key, quantity, sp)
-        if runner.want_theory and variant is Variant.L0LMS:
-            rep = _theory_steady(sp)
-            res[key].update(d_inf=rep.d_inf, d_lms=rep.d_lms,
-                            kappa_opt_theory=rep.kappa_opt,
-                            d_min=rep.d_min, omega=rep.omega)
-            print(f"steady theory: d_inf={rep.d_inf:.6e}  "
-                  f"d_lms={rep.d_lms:.6e}  kappa_opt={rep.kappa_opt:.6e}  "
-                  f"d_min={rep.d_min:.6e}")
-    return res
+
+# ---------------------------------------------------------------------------
+# per-point evaluation
+# ---------------------------------------------------------------------------
+
+def _signal(spec: ExperimentSpec) -> theory.SignalModel:
+    return theory.SignalModel(Px=spec.Px, Pv=noise_power(spec))
+
+
+def _closed_form(spec: ExperimentSpec):
+    """Arguments of the l0 closed forms (expected strengths) for a scalar
+    spec, or None for ZA/RZA, which have none here.  Plain LMS is the
+    kappa = 0 case."""
+    variant = spec.variants[0]
+    if variant in (Variant.ZALMS, Variant.RZALMS):
+        return None
+    kappa = 0.0 if variant is Variant.LMS else float(spec.kappa)
+    st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
+    params = AlgoParams(variant=Variant.L0LMS, mu=spec.mu, kappa=kappa,
+                        alpha=spec.alpha)
+    return (spec.L, spec.Q, st), params, _signal(spec)
+
+
+def _theory_steady(spec: ExperimentSpec) -> float:
+    args = _closed_form(spec)
+    return math.nan if args is None else theory.l0_steady_msd(*args).d_inf
+
+
+def _theory_curve(spec: ExperimentSpec, n: np.ndarray) -> np.ndarray:
+    args = _closed_form(spec)
+    if args is None:
+        return np.full(n.size, math.nan)
+    return np.asarray(theory.convergence_model(*args).msd(n))
+
+
+class _Run:
+    """One theory / simulate / experiment run: evaluates points, writes
+    files, and collects the file list and the divergence flag."""
+
+    def __init__(self, mode: str, out_dir: Path, workers: int):
+        self.want_theory = mode in ("theory", "experiment")
+        self.want_sim = mode in ("simulate", "experiment")
+        self.suffix = {"theory": "_theory", "simulate": "_sim"}.get(mode, "")
+        self.out = out_dir
+        self.workers = workers
+        self.files: list[str] = []
+        self.diverged = False
+
+    def emit(self, stem: str, key: str, keys, columns: dict) -> None:
+        """Write one CSV: the key column, the linear columns, then a
+        ``_db`` column for every MSD column except ``*_ci``."""
+        dbs = {f"{c}_db": to_db(v) for c, v in columns.items()
+               if not c.endswith("_ci")}
+        table = {key: keys, **columns, **dbs}
+        fn = f"{stem}{self.suffix}.csv"
+        _write_csv(self.out / fn, list(table), list(table.values()))
+        self.files.append(fn)
+        print(f"wrote {self.out / fn} ({len(keys)} rows)")
+
+    def sim_steady(self, spec: ExperimentSpec) -> tuple[float, float]:
+        """Monte Carlo steady estimate and its 95% CI half-width."""
+        traj = monte_carlo(spec, workers=self.workers)
+        if traj.diverged:
+            self.diverged = True
+            return math.nan, math.nan
+        ci = math.nan
+        if traj.trial_steady is not None and traj.trials > 1:
+            ci = 1.96 * float(np.std(traj.trial_steady, ddof=1)) \
+                / math.sqrt(traj.trials)
+        return traj.steady_estimate, ci
+
+    def steady_columns(self, points) -> dict:
+        cols = {}
+        if self.want_theory:
+            cols["msd_theory"] = [_theory_steady(sp) for _, sp in points]
+        if self.want_sim:
+            sims = [self.sim_steady(sp) for _, sp in points]
+            cols["msd_sim"] = [m for m, _ in sims]
+            cols["msd_sim_ci"] = [ci for _, ci in sims]
+        return cols
+
+    def curve(self, stem: str, spec: ExperimentSpec) -> None:
+        if spec.iterations is None:
+            spec = replace(spec, iterations=default_iterations(
+                spec.L, spec.Q, spec.mu, spec.Px))
+        n = np.arange(spec.iterations + 1)
+        cols = {}
+        if self.want_theory:
+            cols["msd_theory"] = _theory_curve(spec, n)
+        if self.want_sim:
+            traj = monte_carlo(spec, workers=self.workers)
+            self.diverged |= traj.diverged
+            n = n[:traj.msd.size]           # cut at a divergence
+            cols = {c: v[:n.size] for c, v in cols.items()}
+            cols["msd_sim"] = traj.msd
+        self.emit(stem, "n", n, cols)
+
+
+def _reference_columns(base: ExperimentSpec, points, run: _Run,
+                       entry: dict) -> dict:
+    """ZA/RZA reference columns at the sign-attractor optimum rho_opt
+    (recorded in ``entry``): the ZA closed form and one ZA run, neither
+    of which depends on the swept alpha, and an RZA run at every point
+    with alpha as its reweighting constant."""
+    rho = resolve_kappa(replace(base, variants=(Variant.ZALMS,),
+                                kappa="OPTIMAL"))
+    entry["rho_opt"] = rho
+    cols = {}
+    if run.want_theory:
+        za = theory.za_steady_msd(base.L, base.Q, base.mu, rho, base.Px,
+                                  noise_power(base)).d_inf_za
+        cols["msd_theory_za"] = [za] * len(points)
+    if run.want_sim:
+        za, _ = run.sim_steady(replace(base, variants=(Variant.ZALMS,),
+                                       kappa=rho, alpha=1.0))
+        cols["msd_sim_za"] = [za] * len(points)
+        cols["msd_sim_rza"] = [
+            run.sim_steady(replace(sp, variants=(Variant.RZALMS,),
+                                   kappa=rho))[0] for _, sp in points]
+    return cols
+
+
+def _run_sweep(run: _Run, stem: str, sweep: Sweep, base: ExperimentSpec,
+               entry: dict) -> list[tuple]:
+    """Expand one sweep at one noise level, write its files and return
+    its points."""
+    points = expand(base, sweep, entry)
+    if sweep.curve is not None:
+        for v, sp in points:
+            run.curve(f"{stem}_{sweep.curve.format(v)}", sp)
+        return points
+    cols = run.steady_columns(points)
+    if sweep.reference:
+        cols.update(_reference_columns(base, points, run, entry))
+    run.emit(f"{stem}_{sweep.axis}_sweep", sweep.axis,
+             [v for v, _ in points], cols)
+    return points
+
+
+def _low_snr_note(snr: float) -> None:
+    if snr < 30:
+        print(f"note: {snr:g} dB SNR is low; closed forms are approximate "
+              "there, expect a visible theory-vs-simulation gap")
 
 
 def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
@@ -550,18 +463,47 @@ def run_experiment(preset_or_config: str, out_dir, mode: str = "experiment",
     if not os.access(out, os.W_OK):
         raise CliError(f"output directory {out} is not writable", 1)
 
-    runner = _Runner(mode, out, workers)
-    if preset_or_config in PRESET_NAMES:
-        preset = preset_or_config
-        spec, resolved = _run_preset(preset, runner, seed, trials, scale,
-                                     snr_convention)
-        name = preset
+    if preset_or_config in PRESETS:
+        preset = name = preset_or_config
+        mu, snrs, sweep = PRESETS[name]
+        spec = _apply_overrides(
+            ExperimentSpec(mu=mu, snr_db=snrs[0], **_PRESET_BASE),
+            seed, trials, scale, snr_convention)
+        bases = [replace(spec, snr_db=snr, kappa="OPTIMAL") for snr in snrs]
+        resolved = {"snrs": list(snrs),
+                    "scale": scale if scale is not None else 1.0}
     else:
         preset = None
-        spec = load_config(preset_or_config)
-        spec = _apply_overrides(spec, seed, trials, scale, snr_convention)
+        spec = _apply_overrides(load_config(preset_or_config), seed, trials,
+                                scale, snr_convention)
         name = Path(preset_or_config).stem
-        resolved = _run_config(spec, name, runner)
+        sweep = _config_sweep(spec)
+        bases = [spec]
+        resolved = {"snrs": [] if spec.snr_db is None else [spec.snr_db]}
+
+    run = _Run(mode, out, workers)
+    for base in bases:
+        if base.snr_db is None:
+            label = f"Pv{base.Pv:g}"
+        else:
+            label = f"{base.snr_db:g}dB"
+            _low_snr_note(base.snr_db)
+        entry = resolved[label] = {
+            "Pv": noise_power(base),
+            "snr_convention": base.snr_convention.value}
+        points = _run_sweep(run, f"{name}_{label}", sweep, base, entry)
+        if "kappa_opt" in entry:
+            print(f"kappa_opt({label}) = {entry['kappa_opt']:.6e}")
+        # only a config's per-variant curves are keyed by variant
+        l0 = dict(points).get(Variant.L0LMS)
+        if run.want_theory and l0 is not None:
+            rep = theory.l0_steady_msd(*_closed_form(l0))
+            entry.update(d_inf=rep.d_inf, d_lms=rep.d_lms,
+                         kappa_opt_theory=rep.kappa_opt,
+                         d_min=rep.d_min, omega=rep.omega)
+            print(f"steady theory: d_inf={rep.d_inf:.6e}  "
+                  f"d_lms={rep.d_lms:.6e}  kappa_opt={rep.kappa_opt:.6e}  "
+                  f"d_min={rep.d_min:.6e}")
 
     manifest = None
     if mode == "experiment":
@@ -569,11 +511,11 @@ def run_experiment(preset_or_config: str, out_dir, mode: str = "experiment",
             version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),
             preset=preset, spec=spec, resolved=resolved,
-            files=tuple(runner.files))
+            files=tuple(run.files))
         mpath = out / f"{name}_manifest.json"
         manifest.save(mpath)
         print(f"wrote {mpath}")
-    if runner.diverged:
+    if run.diverged:
         print("divergence detected in at least one Monte Carlo point",
               file=sys.stderr)
         return manifest, 2
@@ -584,7 +526,10 @@ def run_experiment(preset_or_config: str, out_dir, mode: str = "experiment",
 # compare
 # ---------------------------------------------------------------------------
 
-def _read_points(path) -> tuple[str, list[str], dict]:
+def _read_points(path) -> tuple[list[str], dict]:
+    """Header and ``{key: (key text, {column: text})}`` of a CSV, keyed by
+    the parsed first column.  A file without data rows, blank or ragged
+    rows, and non-numeric or repeated keys are validation errors."""
     try:
         with open(path, newline="") as f:
             r = csv.reader(f)
@@ -594,11 +539,23 @@ def _read_points(path) -> tuple[str, list[str], dict]:
             rows = list(r)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}", 1)
-    key = header[0]
     pts = {}
-    for row in rows:
-        pts[row[0]] = {c: v for c, v in zip(header, row)}
-    return key, header, pts
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CliError(f"{path}:{line}: {len(row)} fields, the header "
+                           f"has {len(header)}", 1)
+        try:
+            key = float(row[0])
+        except ValueError:
+            raise CliError(f"{path}:{line}: {header[0]} value {row[0]!r} "
+                           "is not a number", 1)
+        if key in pts:
+            raise CliError(f"{path}:{line}: {header[0]} value {row[0]!r} "
+                           f"repeats {pts[key][0]!r}", 1)
+        pts[key] = (row[0], dict(zip(header, row)))
+    if not pts:
+        raise CliError(f"{path}: no data rows", 1)
+    return header, pts
 
 
 def _value_column(header: list[str], preference: list[str], path) -> str:
@@ -621,13 +578,14 @@ def compare(theory_csv, sim_csv, tolerance_db: float = 1.0,
     tolerance; 3 on tolerance failure; 2 when NaN values (divergence)
     block the comparison; 1 on grid mismatch.
     """
-    key1, hdr1, pts1 = _read_points(theory_csv)
-    key2, hdr2, pts2 = _read_points(sim_csv)
+    hdr1, pts1 = _read_points(theory_csv)
+    hdr2, pts2 = _read_points(sim_csv)
+    key1, key2 = hdr1[0], hdr2[0]
     if key1 != key2:
         raise CliError(f"grid mismatch: key columns differ "
                        f"({key1!r} vs {key2!r})", 1)
-    only1 = sorted(set(pts1) - set(pts2), key=lambda s: float(s))
-    only2 = sorted(set(pts2) - set(pts1), key=lambda s: float(s))
+    only1 = [pts1[k][0] for k in sorted(set(pts1) - set(pts2))]
+    only2 = [pts2[k][0] for k in sorted(set(pts2) - set(pts1))]
     if only1 or only2:
         msg = ["grid mismatch:"]
         if only1:
@@ -643,35 +601,36 @@ def compare(theory_csv, sim_csv, tolerance_db: float = 1.0,
     col1 = _value_column(hdr1, ["msd_theory", "msd", "msd_sim"], theory_csv)
     col2 = _value_column(hdr2, ["msd_sim", "msd", "msd_theory"], sim_csv)
 
-    keys = sorted(pts1, key=lambda s: float(s))
     table = []
     nan_points = 0
-    for k in keys:
-        a = float(pts1[k][col1])
-        b = float(pts2[k][col2])
+    for k in sorted(pts1):
+        text, row1 = pts1[k]
+        a = float(row1[col1])
+        b = float(pts2[k][1][col2])
         if math.isnan(a) or math.isnan(b):
             nan_points += 1
             gap = math.nan
         elif a <= 0 or b <= 0:
             raise CliError(
-                f"non-positive MSD at {key1}={k}: {a} vs {b}", 1)
+                f"non-positive MSD at {key1}={text}: {a} vs {b}", 1)
         else:
             gap = 10.0 * math.log10(b / a)
-        table.append((k, a, b, gap))
+        table.append((k, text, a, b, gap))
 
     gaps = np.array([g for *_, g in table if not math.isnan(g)])
     print(f"comparing {col2} ({sim_csv}) against {col1} ({theory_csv}): "
           f"{len(table)} points")
     if len(table) <= 200:
         print(f"{key1:>16}  {'reference':>24}  {'value':>24}  {'gap_db':>9}")
-        for k, a, b, g in table:
-            print(f"{k:>16}  {a:>24.17g}  {b:>24.17g}  {g:>9.4f}")
+        for _, text, a, b, g in table:
+            print(f"{text:>16}  {a:>24.17g}  {b:>24.17g}  {g:>9.4f}")
     else:
         out = Path(out_dir) if out_dir else Path(".")
         gp = out / (Path(sim_csv).stem + "_vs_" + Path(theory_csv).stem
                     + "_gaps.csv")
+        keys, _, refs, values, gap_col = zip(*table)
         _write_csv(gp, [key1, "msd_reference", "msd_value", "gap_db"],
-                   [list(t) for t in table])
+                   [keys, refs, values, gap_col])
         print(f"per-point table written to {gp}")
 
     if nan_points:
@@ -701,6 +660,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", metavar="NAME",
@@ -718,7 +684,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-convention",
                    choices=[c.value for c in theory.SnrConvention],
                    help="SNR accounting convention")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel trial workers (default 1)")
 
 

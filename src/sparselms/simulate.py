@@ -371,16 +371,18 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1,
                 record_weights_from: int | None = None) -> Trajectory:
     """Average ``spec.trials`` independent trials at one parameter point.
 
-    Requires a scalar spec (no sweeps, exactly one variant).  Trials run
-    independently (in processes when ``workers > 1``); the average is
-    accumulated in trial order either way, so the result is
-    bit-deterministic for a given (spec, seed).
+    Requires a scalar spec (no sweeps, a numeric kappa, exactly one
+    variant) and ``workers >= 1``.  Trials run independently (in
+    processes when ``workers > 1``); the average is accumulated in trial
+    order either way, so the result is bit-deterministic for a given
+    (spec, seed).
     """
-    if not spec.is_scalar and not (
-            isinstance(spec.kappa, str) and isinstance(spec.mu, float)
-            and isinstance(spec.alpha, float) and len(spec.variants) == 1):
+    if not spec.is_scalar:
         raise ValueError(
-            "monte_carlo runs one parameter point; expand sweeps first")
+            "monte_carlo runs one parameter point; expand sweeps and "
+            "resolve kappa first")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     params = _scalar_params(spec)
     n_iter = spec.iterations
     if n_iter is None:

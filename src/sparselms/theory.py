@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernels import AlgoParams, SparseSystem, Variant
+from .kernels import AlgoParams, SparseSystem, Variant, _attract_l0
 
 __all__ = [
     "SnrConvention", "SignalModel", "TapClassification", "DeltaSet",
@@ -311,12 +311,6 @@ def classify(s, alpha: float) -> TapClassification:
     )
 
 
-def _g_l0(t, alpha):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0 / alpha,
-                    2.0 * alpha * alpha * t - 2.0 * alpha * np.sign(t), 0.0)
-
-
 def strengths(alpha: float, s=None, Q: int | None = None,
               sigma_s: float = 1.0, nodes: int = 128) -> AttractionStrengths:
     """Attraction strengths, exact or in expectation.
@@ -339,7 +333,7 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     if s is not None:
         s = np.asarray(s, dtype=float)
         m = (np.abs(s) > 0) & (np.abs(s) < 1.0 / alpha)
-        gs = _g_l0(s[m], alpha)
+        gs = _attract_l0(s[m], alpha)
         return AttractionStrengths(G=float(np.sum(gs * gs)),
                                    G_prime=float(np.sum(s[m] * gs)))
     if Q == 0:
@@ -409,7 +403,8 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
     cls = classify(s, params.alpha)
     out = np.zeros_like(s)
     sk = s[cls.small]
-    out[cls.small] = params.kappa * _g_l0(sk, params.alpha) / (params.mu * Px)
+    out[cls.small] = (params.kappa * _attract_l0(sk, params.alpha)
+                      / (params.mu * Px))
     return out
 
 
@@ -854,15 +849,15 @@ class _ZeroTapGrid:
         self.h = np.diff(faces, axis=1)
         dist = np.diff(centres, axis=1)
         f = faces[:, 1:-1]                  # interior faces
-        a_f = -mu * Px * f + kappa * _g_l0(f, alpha)
-        a_c = -mu * Px * centres + kappa * _g_l0(centres, alpha)
+        a_f = -mu * Px * f + kappa * _attract_l0(f, alpha)
+        a_c = -mu * Px * centres + kappa * _attract_l0(centres, alpha)
         # B/2 at the centres is beta/2 + half_gamma_c, so the flux
         # coefficients are linear in beta: A = beta*k + A0, C = beta*k + C0
         half_gamma_c = mu ** 2 * Px ** 2 * centres ** 2 + 0.5 * a_c ** 2
         self.k = 0.5 / dist
         self.A0 = (half_gamma_c[:, :-1] + a_f * (centres[:, 1:] - f)) / dist
         self.C0 = (half_gamma_c[:, 1:] - a_f * (f - centres[:, :-1])) / dist
-        g_c = _g_l0(centres, alpha)
+        g_c = _attract_l0(centres, alpha)
         self.moments = np.stack([centres * g_c, g_c * g_c])   # w*g, g^2
         T, N = self.h.shape
         self._upper = np.zeros((T, N))
@@ -1029,7 +1024,7 @@ def small_tap_mean_curve(s_k: float, n, mu: float, kappa: float, Px: float,
     Starts at -s_k (zero-initialized weights) and relaxes geometrically
     to the steady bias kappa*g(s_k)/(mu*Px).
     """
-    g = float(_g_l0(s_k, alpha))
+    g = float(_attract_l0(s_k, alpha))
     bias_inf = kappa * g / (mu * Px)
     lam = 1.0 - mu * Px
     n = np.asarray(n)

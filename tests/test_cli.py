@@ -131,6 +131,36 @@ def test_theory_preset_exp4_curve_files(tmp_path):
     assert header == ["n", "msd_theory", "msd_theory_db"]
 
 
+def test_theory_preset_exp5_curve_files(tmp_path):
+    rc = main(["theory", "--preset", "exp5", "--out", str(tmp_path),
+               "--scale", "0.02"])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "exp5_40dB_curve_mu0.0002_theory.csv",
+        "exp5_40dB_curve_mu0.0004_theory.csv"]
+    for p in tmp_path.iterdir():
+        header, rows = read_csv(p)
+        assert header == ["n", "msd_theory", "msd_theory_db"]
+        assert len(rows) == 30001           # n = 0..30000
+
+
+@pytest.mark.slow
+def test_simulate_preset_exp2_reference_columns(tmp_path):
+    rc = main(["simulate", "--preset", "exp2", "--out", str(tmp_path),
+               "--scale", "0.02", "--trials", "1"])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "exp2_40dB_alpha_sweep_sim.csv")
+    assert header == ["alpha", "msd_sim", "msd_sim_ci", "msd_sim_za",
+                      "msd_sim_rza", "msd_sim_db", "msd_sim_za_db",
+                      "msd_sim_rza_db"]
+    assert len(rows) == 11
+    for r in rows:
+        values = [float(r[header.index(c)]) for c in header
+                  if c != "msd_sim_ci"]        # one trial: no CI
+        assert all(math.isfinite(v) for v in values), r
+    assert len({r[header.index("msd_sim_za")] for r in rows}) == 1
+
+
 # ---------------------------------------------------------------------------
 # config runs
 # ---------------------------------------------------------------------------
@@ -198,6 +228,41 @@ def test_config_sweep_with_explicit_noise_label(tmp_path):
                             AlgoParams(variant=Variant.L0LMS, mu=2e-3,
                                        kappa=float(r[0]), alpha=10.0), sig)
         assert float(r[1]) == pytest.approx(rep.d_inf, rel=1e-15)
+
+
+@pytest.mark.parametrize("variant", ["LMS", "ZALMS"])
+def test_config_sweep_theory_column_follows_variant(tmp_path, variant):
+    cfg = write_config(tmp_path / "var.json", L=24, Q=3, mu=2e-3,
+                       alpha=10.0, kappa=[1e-7, 1e-5, 1e-4], snr_db=40.0,
+                       trials=2, iterations=100, variants=[variant])
+    rc = main(["theory", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "var_40dB_kappa_sweep_theory.csv")
+    assert header == ["kappa", "msd_theory", "msd_theory_db"]
+    assert [float(r[0]) for r in rows] == [1e-7, 1e-5, 1e-4]
+    if variant == "ZALMS":                  # no closed form for ZA
+        assert all(r[1:] == ["nan", "nan"] for r in rows)
+        return
+    sig = SignalModel(Px=1.0, Pv=noise_power(
+        ExperimentSpec(L=24, Q=3, mu=2e-3, snr_db=40.0)))
+    lms = l0_steady_msd((24, 3, strengths(10.0, Q=3)),
+                        AlgoParams(variant=Variant.L0LMS, mu=2e-3,
+                                   kappa=0.0, alpha=10.0), sig)
+    assert all(float(r[1]) == lms.d_inf for r in rows)
+
+
+def test_config_optimal_sweep_records_each_kappa(tmp_path):
+    cfg = write_config(tmp_path / "mus.json", **{**TINY, "mu": [1e-3, 2e-3],
+                                                 "kappa": "OPTIMAL"})
+    rc = main(["experiment", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    m = RunManifest.load(tmp_path / "mus_manifest.json")
+    optima = m.resolved["40dB"]["kappa_opt_by_mu"]
+    assert list(optima) == ["0.001", "0.002"]
+    for mu, ko in optima.items():
+        spec = ExperimentSpec(**{**TINY, "mu": float(mu),
+                                 "kappa": "OPTIMAL"})
+        assert ko == resolve_kappa(spec)
 
 
 def test_simulate_config_sweep_header(tmp_path):
@@ -295,6 +360,17 @@ def test_swept_config_needs_one_variant(tmp_path, capsys):
     rc = main(["theory", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "exactly one variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_exit_1(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path / "w.json", **TINY, kappa=0.0)
+    with pytest.raises(SystemExit) as ei:
+        main(["simulate", "--config", cfg, "--out", str(tmp_path),
+              "--workers", workers])
+    assert ei.value.code == 1
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -396,6 +472,43 @@ def test_compare_grid_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid mismatch" in err
     assert "missing from" in err and "0.5" in err
+
+
+def test_compare_matches_keys_by_value(tmp_path, capsys):
+    p1, p2 = grid_files(tmp_path)
+    header, rows = read_csv(p2)
+    rows[0][0] = "1.0e-7"                   # same grid point, other text
+    write_csv(tmp_path / "val.csv", header, rows)
+    rc = main(["compare", p1, p2])
+    assert rc == 0
+    assert "max |gap| = 0.0000 dB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("short", "fields, the header has 3"),
+    ("blank", "fields, the header has 3"),
+    ("repeat", "kappa value '1.0e-7' repeats '1e-07'"),
+    ("empty", "val.csv: no data rows"),
+])
+def test_compare_rejects_malformed_rows(tmp_path, capsys, damage, message):
+    p1, p2 = grid_files(tmp_path)
+    header, rows = read_csv(p2)
+    if damage == "short":
+        rows[1] = rows[1][:1]
+    if damage == "repeat":
+        rows.append(["1.0e-7"] + rows[0][1:])
+    if damage == "empty":
+        rows = []
+    with open(p2, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for i, r in enumerate(rows):
+            f.write(",".join(r) + "\n")
+            if damage == "blank" and i == 1:
+                f.write("\n")
+    rc = main(["compare", p1, p2])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "val.csv:" in err and message in err
 
 
 def test_compare_key_column_mismatch(tmp_path, capsys):

@@ -254,6 +254,14 @@ def test_monte_carlo_rejects_sweeps():
         monte_carlo(small_spec(mu=[1e-3, 2e-3]))
 
 
+def test_monte_carlo_rejects_unresolved_kappa_and_bad_workers():
+    with pytest.raises(ValueError, match="resolve kappa"):
+        monte_carlo(small_spec(kappa="OPTIMAL"))
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            monte_carlo(small_spec(), workers=workers)
+
+
 def test_monte_carlo_fixed_vs_redrawn_systems():
     fixed = monte_carlo(small_spec(system_mode="fixed", trials=3))
     redraw = monte_carlo(small_spec(system_mode="redraw", trials=3))

@@ -18,7 +18,8 @@ from sparselms import (
     mu_max,
     strengths,
 )
-from sparselms.theory import _g_l0, betas, etas, solve_omega
+from sparselms.kernels import _attract_l0 as _g_l0
+from sparselms.theory import betas, etas, solve_omega
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
 

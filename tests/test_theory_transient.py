@@ -30,7 +30,8 @@ from sparselms import (
     strengths,
     tapwise_recursion,
 )
-from sparselms.theory import _g_l0, betas, optimal_kappa
+from sparselms.kernels import _attract_l0 as _g_l0
+from sparselms.theory import betas, optimal_kappa
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
 KAPPA_OPT = 3.747845320580678e-7
