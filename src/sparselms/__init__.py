@@ -8,7 +8,7 @@ preset experiments behind a CLI.
 __version__ = "0.1.0"
 
 from .kernels import (AlgoParams, FilterState, SparseSystem, Variant,
-                      attractor, step, synth_output)
+                      attractor, step)
 from .theory import (AccelerationReport, ApproxMode, AttractionStrengths,
                      BetaSet, ConsistencyError, ConvergenceModel,
                      DegenerateSpectrumError, DeltaSet, EtaSet,
@@ -28,7 +28,7 @@ __all__ = [
     "__version__",
     # kernels
     "AlgoParams", "FilterState", "SparseSystem", "Variant", "attractor",
-    "step", "synth_output",
+    "step",
     # theory
     "AccelerationReport", "ApproxMode", "AttractionStrengths", "BetaSet",
     "ConsistencyError", "ConvergenceModel", "DegenerateSpectrumError",

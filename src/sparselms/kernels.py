@@ -2,9 +2,9 @@
 variants, plus the zero-point attractor functions they share.
 
 All kernels are pure functions of their inputs.  The regressor convention
-is most-recent-first: ``x = [x_n, x_{n-1}, ..., x_{n-L+1}]``.  The harness
-in :mod:`sparselms.simulate` maintains the sliding window; the kernels are
-window-agnostic.
+is most-recent-first: ``x = [x_n, x_{n-1}, ..., x_{n-L+1}]``.  ``step`` is
+the single-step reference that the batched Monte Carlo engine of
+:mod:`sparselms.simulate` is tested against.
 """
 
 from __future__ import annotations
@@ -124,12 +124,15 @@ def _attract_l0(t: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(inside, 2.0 * alpha * alpha * t - 2.0 * alpha * np.sign(t), 0.0)
 
 
-def _attract_za(t: np.ndarray) -> np.ndarray:
-    return -np.sign(t)
-
-
-def _attract_rza(t: np.ndarray, epsilon: float) -> np.ndarray:
-    return -np.sign(t) / (1.0 + epsilon * np.abs(t))
+# variant -> (the AlgoParams field that weights its attraction term, the
+# raw attractor g(t, params)); plain LMS has none.  attractor(), step()
+# and the Monte Carlo engine all read this one table.
+ATTRACTORS = {
+    Variant.L0LMS: ("kappa", lambda t, p: _attract_l0(t, p.alpha)),
+    Variant.ZALMS: ("rho", lambda t, p: -np.sign(t)),
+    Variant.RZALMS: ("rho",
+                     lambda t, p: -np.sign(t) / (1.0 + p.epsilon * np.abs(t))),
+}
 
 
 def attractor(variant, t, params: AlgoParams):
@@ -143,26 +146,11 @@ def attractor(variant, t, params: AlgoParams):
     ValueError
         For ``variant = LMS`` (plain LMS has no attractor).
     """
-    variant = Variant(variant)
-    t = np.asarray(t, dtype=float)
-    if variant is Variant.L0LMS:
-        out = _attract_l0(t, params.alpha)
-    elif variant is Variant.ZALMS:
-        out = _attract_za(t)
-    elif variant is Variant.RZALMS:
-        out = _attract_rza(t, params.epsilon)
-    else:
+    entry = ATTRACTORS.get(Variant(variant))
+    if entry is None:
         raise ValueError("no attractor for plain LMS")
+    out = entry[1](np.asarray(t, dtype=float), params)
     return out if out.ndim else float(out)
-
-
-def synth_output(s, x, v: float) -> float:
-    """Observed output of the unknown system: d = x @ s + v."""
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if s.shape != x.shape:
-        raise ValueError(f"length mismatch: s{s.shape} vs x{x.shape}")
-    return float(x @ s + v)
 
 
 def step(state: FilterState, x, d: float, params: AlgoParams):
@@ -199,14 +187,7 @@ def step(state: FilterState, x, d: float, params: AlgoParams):
         raise ValueError("non-finite input values")
     e = float(d - x @ w)
     w_new = w + (params.mu * e) * x
-    v = params.variant
-    if v is Variant.L0LMS:
-        if params.kappa != 0.0:
-            w_new += params.kappa * _attract_l0(w, params.alpha)
-    elif v is Variant.ZALMS:
-        if params.rho != 0.0:
-            w_new += params.rho * _attract_za(w)
-    elif v is Variant.RZALMS:
-        if params.rho != 0.0:
-            w_new += params.rho * _attract_rza(w, params.epsilon)
+    field, g = ATTRACTORS.get(params.variant, (None, None))
+    if g is not None and getattr(params, field) != 0.0:
+        w_new += getattr(params, field) * g(w, params)
     return FilterState(w=w_new, n=state.n + 1), e

@@ -3,20 +3,26 @@
 Reproducibility contract
 ------------------------
 Every random draw comes from a counter-based Philox stream
-(``numpy.random.Philox``, 4x64 variant, available and stable since
-numpy 1.22 — pinned in pyproject) keyed by
+(``numpy.random.Philox``, 4x64 variant) keyed by
 ``(seed, trial_index, role)`` where role separates the system draw,
-the input process, and the observation noise.  Parallel execution can
-therefore never reorder draws, and the trial-average reduction runs in
-fixed trial order, so a given ``(spec, seed)`` produces a bit-identical
-Trajectory regardless of worker count.
+the input process, and the observation noise.  The trials of one
+parameter point advance as the rows of one weight array, and rows never
+interact: each row's dot products are its own (``np.vecdot``, the same
+dot ``x @ w`` computes for one trial), and a diverged row leaves the
+array.  ``workers > 1`` splits the trials into contiguous shards, one
+process each, and the average runs in trial order, so a ``(spec, seed)``
+gives a bit-identical Trajectory across runs and worker counts.  The
+engine reproduces the per-trial loop over ``kernels.step`` it replaced
+bit for bit (``monte_carlo`` then stopped taking
+``record_weights_from``).
 
 The input model fixes how the input stream becomes regressors.
 ``"delay_line"`` (the default) slides a window over one white sequence,
 so consecutive regressors share L-1 samples.  ``"iid"`` fills each
 regressor with L fresh samples: regressor n holds stream draws
-[n*L, (n+1)*L), drawn in blocks of about 2^18 samples (the block bounds
-memory and does not change the draws).  The i.i.d. model is the one the
+[n*L, (n+1)*L).  Streams are drawn in blocks of about 2^14 samples,
+which bound memory and do not change the draws; a delay-line regressor
+is a reversed view of the block.  The i.i.d. model is the one the
 independence assumption of the theory describes.
 
 Indexing convention: a trajectory entry ``msd[n]`` is the squared
@@ -27,13 +33,15 @@ deviation of ``w_n``, with ``w_0 = 0``; an experiment with
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import theory
-from .kernels import AlgoParams, FilterState, SparseSystem, Variant, step, synth_output
+from .kernels import ATTRACTORS, AlgoParams, SparseSystem, Variant
 
 __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
@@ -50,7 +58,7 @@ NOISE_ROLE = 2
 DIVERGENCE_FACTOR = 1e6
 
 INPUT_MODELS = ("delay_line", "iid")
-_IID_BLOCK = 1 << 18        # samples per i.i.d. regressor block
+_BLOCK = 1 << 14            # samples per stream block, all rows together
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -172,10 +180,25 @@ class ExperimentSpec:
         if self.input_model not in INPUT_MODELS:
             raise ValueError(f"bad input_model: {self.input_model!r} "
                              f"(expected one of {', '.join(INPUT_MODELS)})")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.iterations is not None and self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        ints = ("L", "Q", "trials", "iterations", "seed")
+        for name in ints + ("Px", "sigma_s", "snr_db", "Pv"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+                    isinstance(v, numbers.Integral) or math.isfinite(v)
+                    and not (name in ints and v % 1)):
+                kind = "an integer" if name in ints else "a finite number"
+                raise ValueError(f"{name} must be {kind}, got {v!r}")
+            if name in ints:
+                object.__setattr__(self, name, int(v))   # 1e5 is accepted
+        for name, low in (("L", 1), ("trials", 1), ("iterations", 1),
+                          ("Pv", 0)):
+            if (v := getattr(self, name)) is not None and v < low:
+                raise ValueError(f"{name} must be >= {low}, got {v}")
+        for name in ("Px", "sigma_s"):
+            if not (v := getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be > 0, got {v}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0 <= self.Q <= self.L:
@@ -270,7 +293,6 @@ class Trajectory:
     diverged_at: int | None
     slope: float
     converged: bool
-    wbar: np.ndarray | None = None
     trial_steady: np.ndarray | None = None
 
     @property
@@ -279,17 +301,10 @@ class Trajectory:
 
 
 def _scalar_params(spec: ExperimentSpec) -> AlgoParams:
-    variant = spec.variants[0]
+    """AlgoParams of a scalar spec (alpha is also the RZA epsilon)."""
     k = resolve_kappa(spec)
-    if variant is Variant.LMS:
-        return AlgoParams(variant=variant, mu=spec.mu)
-    if variant is Variant.L0LMS:
-        return AlgoParams(variant=variant, mu=spec.mu, kappa=k,
-                          alpha=spec.alpha)
-    if variant is Variant.ZALMS:
-        return AlgoParams(variant=variant, mu=spec.mu, rho=k)
-    return AlgoParams(variant=variant, mu=spec.mu, rho=k,
-                      epsilon=spec.alpha)
+    return AlgoParams(variant=spec.variants[0], mu=spec.mu, kappa=k,
+                      alpha=spec.alpha, rho=k, epsilon=spec.alpha)
 
 
 def run_trial(system: SparseSystem, spec: ExperimentSpec,
@@ -307,75 +322,92 @@ def run_trial(system: SparseSystem, spec: ExperimentSpec,
     ``record_weights_from`` additionally returns the time average of the
     weight vector from that iteration on (for steady-state bias probes).
     """
-    n_iter = spec.iterations
-    if n_iter is None:
-        n_iter = default_iterations(spec.L, spec.Q, params.mu, spec.Px)
-    L = spec.L
-    s = system.s
-    Pv = noise_power(spec)
-
-    if spec.input_model == "delay_line":
-        X = stream(spec.seed, trial_index, INPUT_ROLE) \
-            .standard_normal(L - 1 + n_iter) * math.sqrt(spec.Px)
-        regressors = (X[n:n + L][::-1] for n in range(n_iter))
-    else:
-        regressors = _iid_regressors(
-            stream(spec.seed, trial_index, INPUT_ROLE), L, n_iter, spec.Px)
-    v = stream(spec.seed, trial_index, NOISE_ROLE) \
-        .standard_normal(n_iter) * math.sqrt(Pv)
-
-    limit = DIVERGENCE_FACTOR * max(1.0, system.norm_sq)
-    dev = np.empty(n_iter + 1)
-    dev[0] = system.norm_sq
-    state = FilterState.zeros(L)
-    diverged_at = None
-    w_acc = np.zeros(L) if record_weights_from is not None else None
-    w_count = 0
-
-    for n, x in enumerate(regressors):
-        d = synth_output(s, x, v[n])
-        state, _ = step(state, x, d, params)
-        w = state.w
-        diff = w - s
-        dev[n + 1] = diff @ diff
-        if w_acc is not None and n + 1 >= record_weights_from:
-            w_acc += w
-            w_count += 1
-        if w @ w > limit or not np.isfinite(dev[n + 1]):
-            diverged_at = n + 1
-            dev = dev[:n + 2]
-            break
-
-    wbar = w_acc / w_count if w_acc is not None and w_count else None
-    return TrialResult(dev=dev, diverged=diverged_at is not None,
-                       diverged_at=diverged_at, wbar=wbar)
+    return _run_rows(spec, params, [system], trial_index,
+                     record_weights_from)[0]
 
 
-def _iid_regressors(rng: np.random.Generator, L: int, n_iter: int,
-                    Px: float):
-    """Yield ``n_iter`` independent regressors of L white samples each,
-    drawing ``_IID_BLOCK // L`` regressors (at least one) at a time."""
-    rows = max(1, _IID_BLOCK // L)
-    for start in range(0, n_iter, rows):
-        block = rng.standard_normal((min(rows, n_iter - start), L)) \
-            * math.sqrt(Px)
-        yield from block
+def _draw(rngs, n: int, scale: float) -> np.ndarray:
+    """The next ``n`` samples of each row's stream, times ``scale``."""
+    out = np.empty((len(rngs), n))
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    out *= scale
+    return out
 
 
-def _trial_task(args):
-    system, spec, params, t, rec = args
-    return run_trial(system, spec, params, t, record_weights_from=rec)
+def _run_rows(spec: ExperimentSpec, params: AlgoParams, systems: list,
+              first: int, record_weights_from: int | None = None) -> list:
+    """The Monte Carlo engine: trials ``first, first+1, ...`` (one per
+    system) advance as the rows of one weight array; returns their
+    TrialResults in trial order.  Every reduction stays within a row."""
+    rows, L = len(systems), spec.L
+    n_iter = spec.iterations or default_iterations(L, spec.Q, params.mu,
+                                                   spec.Px)
+    S = np.array([system.s for system in systems])
+    dev = np.empty((rows, n_iter + 1))
+    dev[:, 0] = [system.norm_sq for system in systems]
+    limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev[:, 0])
+    inputs, noises = (np.array([stream(spec.seed, t, role)
+                                for t in range(first, first + rows)])
+                      for role in (INPUT_ROLE, NOISE_ROLE))
+    sx, sv = math.sqrt(spec.Px), math.sqrt(noise_power(spec))
+    iid = spec.input_model == "iid"
+    field, g = ATTRACTORS.get(params.variant, (None, None))
+    weight = getattr(params, field) if g else 0.0
+    record_from = (n_iter + 1 if record_weights_from is None
+                   else max(1, record_weights_from))
+
+    W, wsum = np.zeros((rows, L)), np.zeros((rows, L))
+    diverged_at = np.zeros(rows, dtype=int)     # 0: did not diverge
+    live = np.arange(rows)                      # rows still advancing
+    X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
+    block = max(1, _BLOCK // (rows * (L if iid else 1)))
+
+    for n in range(1, n_iter + 1):
+        j = (n - 1) % block                 # step n's place in its block
+        if j == 0:
+            k = min(block, n_iter - n + 1)
+            v = _draw(noises, k, sv)
+            if iid:
+                X = _draw(inputs, k * L, sx).reshape(-1, k, L)
+            else:               # oldest first: the last L-1 samples, then k
+                X = np.concatenate((X[:, X.shape[1] - L + 1:],
+                                    _draw(inputs, k, sx)), axis=1)
+        x = X[:, j] if iid else X[:, j:j + L][:, ::-1]
+        e = np.vecdot(x, S) + v[:, j] - np.vecdot(x, W)
+        pull = weight * g(W, params) if weight else None
+        W += (params.mu * e)[:, None] * x
+        if weight:
+            W += pull
+        diff = W - S
+        d2 = np.vecdot(diff, diff)
+        dev[live, n] = d2
+        if n >= record_from:
+            wsum[live] += W
+        bad = (np.vecdot(W, W) > limit) | ~np.isfinite(d2)
+        if bad.any():
+            diverged_at[live[bad]] = n
+            keep = np.flatnonzero(~bad)
+            live, W, S, limit, v, X, inputs, noises = (
+                a[keep] for a in (live, W, S, limit, v, X, inputs, noises))
+            if not live.size:
+                break
+
+    counts = np.where(diverged_at, diverged_at, n_iter) - record_from + 1
+    return [TrialResult(dev=dev[i, :(at or n_iter) + 1], diverged=bool(at),
+                        diverged_at=int(at) or None,
+                        wbar=wsum[i] / counts[i] if counts[i] > 0 else None)
+            for i, at in enumerate(diverged_at)]
 
 
-def monte_carlo(spec: ExperimentSpec, workers: int = 1,
-                record_weights_from: int | None = None) -> Trajectory:
+def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
     """Average ``spec.trials`` independent trials at one parameter point.
 
     Requires a scalar spec (no sweeps, a numeric kappa, exactly one
-    variant) and ``workers >= 1``.  Trials run independently (in
-    processes when ``workers > 1``); the average is accumulated in trial
-    order either way, so the result is bit-deterministic for a given
-    (spec, seed).
+    variant) and ``workers >= 1``.  The trials are split into at most
+    ``workers`` contiguous shards, one process each when there is more
+    than one; the average runs in trial order either way, so the result
+    is bit-identical for a given (spec, seed) whatever ``workers`` is.
     """
     if not spec.is_scalar:
         raise ValueError(
@@ -384,57 +416,39 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     params = _scalar_params(spec)
-    n_iter = spec.iterations
-    if n_iter is None:
-        n_iter = default_iterations(spec.L, spec.Q, params.mu, spec.Px)
-        spec = replace(spec, iterations=n_iter)
+    draws = range(spec.trials) if spec.system_mode == "redraw" else [0]
+    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t,
+                          sigma_s=spec.sigma_s) for t in draws]
+    systems *= spec.trials // len(systems)      # "fixed": trial 0's system
 
-    if spec.system_mode == "redraw":
-        systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t,
-                              sigma_s=spec.sigma_s)
-                   for t in range(spec.trials)]
+    shards = min(workers, spec.trials)
+    edges = [i * spec.trials // shards for i in range(shards + 1)]
+    run = partial(_run_rows, spec, params)
+    if shards > 1:
+        with ProcessPoolExecutor(max_workers=shards) as ex:
+            parts = ex.map(run, [systems[a:b] for a, b in
+                                 zip(edges, edges[1:])], edges[:-1])
+            results = [r for part in parts for r in part]
     else:
-        sys0 = gen_system(spec.L, spec.Q, spec.seed, trial=0,
-                          sigma_s=spec.sigma_s)
-        systems = [sys0] * spec.trials
-
-    tasks = [(systems[t], spec, params, t, record_weights_from)
-             for t in range(spec.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_trial_task, tasks))
-    else:
-        results = [_trial_task(t) for t in tasks]
+        results = run(systems, 0)
 
     n_div = sum(r.diverged for r in results)
-    cut = min((r.diverged_at for r in results if r.diverged), default=None)
-    keep = n_iter + 1 if cut is None else min(r.dev.size for r in results)
+    keep = min(r.dev.size for r in results)
     acc = np.zeros(keep)
     for r in results:                     # fixed trial order
         acc += r.dev[:keep]
     msd = acc / spec.trials
-    wbar = None
-    if record_weights_from is not None and n_div == 0:
-        wbar = np.zeros(spec.L)
-        for r in results:
-            wbar += r.wbar
-        wbar /= spec.trials
-
     window = max(1, int(round(0.1 * msd.size)))
-    if n_div > 0:
-        return Trajectory(msd=msd, trials=spec.trials, seed=spec.seed,
-                          steady_estimate=math.nan, steady_window=window,
-                          diverged=True, n_diverged=n_div, diverged_at=cut,
-                          slope=math.nan, converged=False, wbar=wbar)
     win = msd[-window:]
-    slope = _log_slope(win)
-    trial_steady = np.array([float(np.mean(r.dev[-window:])) for r in results])
-    return Trajectory(msd=msd, trials=spec.trials, seed=spec.seed,
-                      steady_estimate=float(np.mean(win)),
-                      steady_window=window, diverged=False, n_diverged=0,
-                      diverged_at=None, slope=slope,
-                      converged=abs(slope) < SLOPE_THRESHOLD, wbar=wbar,
-                      trial_steady=trial_steady)
+    slope = math.nan if n_div else _log_slope(win)
+    return Trajectory(
+        msd=msd, trials=spec.trials, seed=spec.seed,
+        steady_estimate=math.nan if n_div else float(np.mean(win)),
+        steady_window=window, diverged=n_div > 0, n_diverged=n_div,
+        diverged_at=keep - 1 if n_div else None, slope=slope,
+        converged=abs(slope) < SLOPE_THRESHOLD,
+        trial_steady=None if n_div else np.array(
+            [float(np.mean(r.dev[-window:])) for r in results]))
 
 
 SLOPE_THRESHOLD = 1e-5      # decimal-log MSD slope per iteration

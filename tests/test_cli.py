@@ -413,6 +413,32 @@ def test_config_file_errors(tmp_path, capsys):
     assert "bad input_model: 'markov'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
+    for key, value, msg in (("trials", "1.5", "trials must be an integer"),
+                            ("iterations", "10.5",
+                             "iterations must be an integer"),
+                            ("seed", "1.5", "seed must be an integer"),
+                            ("L", "8.5", "L must be an integer"),
+                            ("Pv", "-1e-3", "Pv must be >= 0"),
+                            ("Px", "-1", "Px must be > 0"),
+                            ("Px", "0", "Px must be > 0"),
+                            ("sigma_s", "-1", "sigma_s must be > 0"),
+                            ("snr_db", "NaN", "snr_db must be a finite")):
+        # raw JSON values, so that NaN reaches the spec
+        raw = {"L": "8", "Q": "2", "mu": "1e-3", "snr_db": "40",
+               "trials": "1", "iterations": "10", key: value}
+        (tmp_path / "scalar.json").write_text(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in raw.items()) + "}")
+        rc = main(["simulate", "--config", str(tmp_path / "scalar.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 1, key
+        assert msg in capsys.readouterr().err
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"L": 0, "Q": 0, "mu": 1e-3, "Pv": 1e-3}')
+    rc = main(["simulate", "--config", str(zero), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "L must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
 
 def test_load_config_returns_spec(tmp_path):
     cfg = write_config(tmp_path / "ok.json", **TINY, kappa=1e-6)

@@ -1,4 +1,4 @@
-"""Filter-kernel unit tests: attractor shapes, output synthesis, one-step updates."""
+"""Filter-kernel unit tests: attractor shapes and one-step updates."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselms import AlgoParams, FilterState, SparseSystem, Variant, attractor, step, synth_output
+from sparselms import AlgoParams, FilterState, SparseSystem, Variant, attractor, step
 
 
 def l0(mu=1e-3, kappa=1e-4, alpha=10.0) -> AlgoParams:
@@ -90,35 +90,6 @@ def test_attractor_l0_attracts_toward_origin(t, alpha):
         assert g * t <= 0.0
     else:
         assert g == 0.0
-
-
-# ---------------------------------------------------------------------------
-# synth_output
-# ---------------------------------------------------------------------------
-
-
-def test_synth_output_zero_system_passes_noise():
-    s = np.zeros(5)
-    x = np.arange(5.0)
-    assert synth_output(s, x, 0.3) == 0.3
-
-
-def test_synth_output_unit_impulse():
-    s = np.zeros(4)
-    s[0] = 1.0
-    x = np.array([2.0, 7.0, -1.0, 3.0])
-    assert synth_output(s, x, 0.0) == 2.0
-
-
-def test_synth_output_cancellation():
-    s = np.array([1.0, -1.0])
-    x = np.array([0.5, 0.5])
-    assert synth_output(s, x, 0.1) == pytest.approx(0.1)
-
-
-def test_synth_output_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        synth_output(np.zeros(3), np.zeros(4), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselms import (
     ExperimentSpec,
+    FilterState,
     NotConvergedError,
     SnrConvention,
     Variant,
@@ -22,9 +26,12 @@ from sparselms import (
     noise_power,
     resolve_kappa,
     run_trial,
+    step,
     stream,
 )
+from sparselms import simulate
 from sparselms.simulate import (
+    DIVERGENCE_FACTOR,
     INPUT_ROLE,
     NOISE_ROLE,
     SYSTEM_ROLE,
@@ -96,6 +103,22 @@ def test_spec_validation():
         small_spec(system_mode="frozen")
     with pytest.raises(ValueError, match="input_model"):
         small_spec(input_model="ar1")
+    for field, bad in (("trials", 1.5), ("iterations", 10.5), ("seed", 1.5),
+                       ("L", 8.5), ("Q", True), ("trials", "3")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_spec(**{field: bad})
+    for kw, msg in ((dict(Pv=-1e-3), "Pv must be >= 0"),
+                    (dict(Px=-1.0), "Px must be > 0"),
+                    (dict(Px=0.0), "Px must be > 0"),
+                    (dict(sigma_s=-1.0), "sigma_s must be > 0"),
+                    (dict(L=0, Q=0), "L must be >= 1"),
+                    (dict(Pv=None, snr_db=math.nan), "snr_db must be a finite"),
+                    (dict(Pv=math.inf), "Pv must be a finite")):
+        with pytest.raises(ValueError, match=msg):
+            small_spec(**kw)
+    whole = small_spec(iterations=1e5, trials=4.0)
+    assert (whole.iterations, whole.trials) == (100000, 4)
+    assert type(whole.iterations) is int and type(whole.trials) is int
 
 
 def test_spec_sweep_normalization():
@@ -220,6 +243,81 @@ def test_run_trial_weight_average_window():
     assert float(np.linalg.norm(res.wbar - sysm.s) ** 2) < 0.02 * sysm.norm_sq
 
 
+def _reference_trial(system, spec, params, trial_index, record_from):
+    """One trial by hand: one-shot stream draws and one ``kernels.step``
+    per iteration, stopping at the first divergent entry."""
+    L, N = spec.L, spec.iterations
+    rng = stream(spec.seed, trial_index, INPUT_ROLE)
+    if spec.input_model == "iid":
+        X = rng.standard_normal((N, L)) * math.sqrt(spec.Px)
+    else:
+        seq = rng.standard_normal(L - 1 + N) * math.sqrt(spec.Px)
+        X = [seq[n:n + L][::-1] for n in range(N)]
+    v = stream(spec.seed, trial_index, NOISE_ROLE).standard_normal(N) \
+        * math.sqrt(noise_power(spec))
+    limit = DIVERGENCE_FACTOR * max(1.0, system.norm_sq)
+    state = FilterState.zeros(L)
+    dev, wsum, count = [system.norm_sq], np.zeros(L), 0
+    for n in range(N):
+        state, _ = step(state, X[n], float(X[n] @ system.s + v[n]), params)
+        diff = state.w - system.s
+        dev.append(float(diff @ diff))
+        if n + 1 >= record_from:
+            wsum += state.w
+            count += 1
+        if state.w @ state.w > limit or not math.isfinite(dev[-1]):
+            break
+    return np.array(dev), (wsum / count if count else None)
+
+
+@given(variant=st.sampled_from(list(Variant)),
+       input_model=st.sampled_from(["delay_line", "iid"]),
+       L=st.integers(1, 24), q_frac=st.floats(0.0, 1.0),
+       mu_frac=st.floats(0.01, 0.5), kappa=st.floats(0.0, 1e-3),
+       alpha=st.floats(1.0, 20.0), seed=st.integers(0, 2**32),
+       block=st.integers(1, 64), record_frac=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
+                                     mu_frac, kappa, alpha, seed, block,
+                                     record_frac):
+    """The engine against the single-step reference, for every variant,
+    input model and stream block size (the block must not change the
+    draws): the same arithmetic, so the same bits."""
+    spec = ExperimentSpec(L=L, Q=int(q_frac * L), mu=mu_frac * mu_max(L, 1.0),
+                          alpha=alpha, kappa=kappa, Pv=1e-3, trials=1,
+                          iterations=150, seed=seed, variants=(variant,),
+                          input_model=input_model)
+    params = _scalar_params(spec)
+    sysm = gen_system(spec.L, spec.Q, seed)
+    record_from = 1 + int(record_frac * (spec.iterations - 1))
+    with mock.patch.object(simulate, "_BLOCK", block):
+        got = run_trial(sysm, spec, params, trial_index=2,
+                        record_weights_from=record_from)
+    dev, wbar = _reference_trial(sysm, spec, params, 2, record_from)
+    np.testing.assert_array_equal(got.dev, dev)
+    np.testing.assert_array_equal(got.wbar, wbar)
+
+
+def test_engine_rows_diverge_independently():
+    """Rows that diverge leave the weight array; the others run on.  Here
+    3 of 4 trials diverge, the earliest at n = 425."""
+    spec = small_spec(mu=1.05 * mu_max(32, 1.0), Pv=1e-2, trials=4,
+                      iterations=3000)
+    params = _scalar_params(spec)
+    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
+               for t in range(spec.trials)]
+    got = simulate._run_rows(spec, params, systems, 0)
+    for t, (sysm, row) in enumerate(zip(systems, got)):
+        dev, _ = _reference_trial(sysm, spec, params, t, spec.iterations + 1)
+        np.testing.assert_array_equal(row.dev, dev)
+        assert row.diverged == (dev.size < spec.iterations + 1)
+        assert row.diverged_at == (dev.size - 1 if row.diverged else None)
+    assert sum(r.diverged for r in got) == 3
+    traj = monte_carlo(spec)
+    assert (traj.n_diverged, traj.diverged_at) == (3, 425)
+    assert traj.msd.shape == (426,)
+
+
 # ---------------------------------------------------------------------------
 # monte_carlo
 # ---------------------------------------------------------------------------
@@ -233,20 +331,14 @@ def test_monte_carlo_single_trial_equals_run_trial():
     assert np.array_equal(traj.msd, res.dev)
 
 
-def test_monte_carlo_worker_count_invariance():
-    spec = small_spec(trials=4, kappa=1e-6)
+@pytest.mark.parametrize("trials,workers", [(4, 2), (5, 3), (1, 2)])
+@pytest.mark.parametrize("input_model", ["delay_line", "iid"])
+def test_monte_carlo_worker_count_invariance(input_model, trials, workers):
+    spec = small_spec(trials=trials, kappa=1e-6, input_model=input_model)
     one = monte_carlo(spec, workers=1)
-    two = monte_carlo(spec, workers=2)
-    assert np.array_equal(one.msd, two.msd)
-    assert one.steady_estimate == two.steady_estimate
-
-
-def test_monte_carlo_iid_worker_count_invariance():
-    spec = small_spec(trials=4, kappa=1e-6, input_model="iid")
-    one = monte_carlo(spec, workers=1)
-    two = monte_carlo(spec, workers=2)
-    assert np.array_equal(one.msd, two.msd)
-    assert one.steady_estimate == two.steady_estimate
+    many = monte_carlo(spec, workers=workers)
+    assert np.array_equal(one.msd, many.msd)
+    assert np.array_equal(one.trial_steady, many.trial_steady)
 
 
 def test_monte_carlo_rejects_sweeps():
