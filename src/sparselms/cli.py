@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -90,24 +90,13 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 # run manifest
 # ---------------------------------------------------------------------------
 
-def _spec_to_dict(spec: ExperimentSpec) -> dict:
-    d = {}
-    for f in fields(ExperimentSpec):
-        v = getattr(spec, f.name)
-        if isinstance(v, tuple):
-            v = [x.value if isinstance(x, Variant) else x for x in v]
-        elif isinstance(v, (Variant, theory.SnrConvention)):
-            v = v.value
-        d[f.name] = v
-    return d
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce and locate a run: the spec, the
     resolved derived parameters (noise powers, optimal attraction
     weights), the tool version, and the list of emitted CSVs.  Survives
-    a JSON round trip losslessly."""
+    a JSON round trip losslessly (the string enums of the spec serialize
+    as their values)."""
 
     version: str
     timestamp: str
@@ -116,28 +105,14 @@ class RunManifest:
     resolved: dict
     files: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "preset": self.preset,
-            "spec": _spec_to_dict(self.spec),
-            "resolved": self.resolved,
-            "files": list(self.files),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(version=d["version"], timestamp=d["timestamp"],
-                   preset=d["preset"], spec=ExperimentSpec(**d["spec"]),
-                   resolved=d["resolved"], files=tuple(d["files"]))
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls.from_dict(json.loads(text))
+        d = json.loads(text)
+        return cls(**{**d, "spec": ExperimentSpec(**d["spec"]),
+                      "files": tuple(d["files"])})
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -296,8 +271,8 @@ def _signal(spec: ExperimentSpec) -> theory.SignalModel:
 
 def _closed_form(spec: ExperimentSpec):
     """Arguments of the l0 closed forms (expected strengths) for a scalar
-    spec, or None for ZA/RZA, which have none here.  Plain LMS is the
-    kappa = 0 case."""
+    spec, or None for ZA/RZA, whose theory columns are NaN.  Plain LMS is
+    the kappa = 0 case."""
     variant = spec.variants[0]
     if variant in (Variant.ZALMS, Variant.RZALMS):
         return None

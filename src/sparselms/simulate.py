@@ -64,6 +64,12 @@ _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
 
 
+def _finite_number(v) -> bool:
+    """A finite real number; booleans do not count as numbers."""
+    return (not isinstance(v, bool) and isinstance(v, numbers.Real)
+            and (isinstance(v, numbers.Integral) or math.isfinite(v)))
+
+
 class NotConvergedError(RuntimeError):
     """Steady-state estimate requested on a series that is still moving.
 
@@ -159,10 +165,12 @@ class ExperimentSpec:
                     return v
                 raise ValueError(f"bad {name}: {v!r}")
             if isinstance(v, (list, tuple, np.ndarray)):
-                t = tuple(float(x) for x in v)
-                if len(t) == 0 or not all(math.isfinite(x) for x in t):
-                    raise ValueError(f"{name} sweep must be finite and non-empty")
-                return t
+                if len(v) == 0 or not all(map(_finite_number, v)):
+                    raise ValueError(f"{name} sweep must be non-empty and "
+                                     f"hold finite numbers, got {v!r}")
+                return tuple(float(x) for x in v)
+            if not _finite_number(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
             return float(v)
 
         object.__setattr__(self, "mu", as_sweep(self.mu, "mu"))
@@ -185,9 +193,7 @@ class ExperimentSpec:
             v = getattr(self, name)
             if v is None:
                 continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-                    isinstance(v, numbers.Integral) or math.isfinite(v)
-                    and not (name in ints and v % 1)):
+            if not _finite_number(v) or (name in ints and v % 1):
                 kind = "an integer" if name in ints else "a finite number"
                 raise ValueError(f"{name} must be {kind}, got {v!r}")
             if name in ints:
@@ -214,23 +220,15 @@ class ExperimentSpec:
 
 
 def noise_power(spec: ExperimentSpec) -> float:
-    """Noise power implied by the spec.
-
-    Explicit ``Pv`` wins.  Otherwise, output-referred SNR compares the
-    noise against the ensemble output power ``Px * Q * sigma_s^2``;
-    input-referred against ``Px``.
-    """
+    """Noise power implied by the spec: the explicit ``Pv`` when set,
+    else the one :meth:`theory.SignalModel.from_snr` derives from
+    ``snr_db`` for the ensemble (output power ``Px * Q * sigma_s^2``
+    when output-referred, ``Px`` when input-referred)."""
     if spec.Pv is not None:
         return float(spec.Pv)
-    if spec.snr_convention is theory.SnrConvention.OUTPUT_REFERRED:
-        ref = spec.Px * spec.Q * spec.sigma_s ** 2
-        if ref <= 0:
-            raise ValueError(
-                "output-referred SNR is undefined for an all-zero system; "
-                "give Pv explicitly or use the input-referred convention")
-    else:
-        ref = spec.Px
-    return ref * 10.0 ** (-spec.snr_db / 10.0)
+    return theory.SignalModel.from_snr(
+        spec.Px, spec.snr_db, spec.snr_convention, Q=spec.Q,
+        sigma_s=spec.sigma_s).Pv
 
 
 def default_iterations(L: int, Q: int, mu: float, Px: float) -> int:

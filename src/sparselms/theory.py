@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import decimal
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -110,7 +111,7 @@ class SignalModel:
         Output-referred needs the signal power at the system output:
         pass the coefficient vector ``s`` (uses ``||s||^2``) or the
         support size ``Q`` (uses the ensemble expectation
-        ``Q * sigma_s^2``).
+        ``Q * sigma_s^2``); it is undefined for an all-zero system.
         """
         convention = SnrConvention(convention)
         if convention is SnrConvention.OUTPUT_REFERRED:
@@ -122,6 +123,11 @@ class SignalModel:
             else:
                 raise ValueError(
                     "output-referred SNR needs s or Q to fix signal power")
+            if Px > 0 and ref == 0:         # Px <= 0 fails below
+                raise ValueError(
+                    "output-referred SNR is undefined for an all-zero "
+                    "system; give Pv explicitly or use the input-referred "
+                    "convention")
         else:
             ref = Px
         return cls(Px=Px, Pv=ref * 10.0 ** (-snr_db / 10.0),
@@ -156,12 +162,15 @@ class DeltaSet:
 
 @dataclass(frozen=True)
 class AttractionStrengths:
-    """Aggregate attractor action on the small (non-zero, in-range)
-    coefficients: ``G`` sums g(s_k)^2, ``G_prime`` sums s_k*g(s_k)
-    (never positive — the attractor opposes the coefficient)."""
+    """What the closed forms read of a system: the aggregate attractor
+    action on the small (non-zero, in-range) coefficients, ``G`` summing
+    g(s_k)^2 and ``G_prime`` summing s_k*g(s_k) (never positive — the
+    attractor opposes the coefficient), and the energy ``norm_sq`` =
+    ||s||^2, the starting deviation of zero-initialized weights."""
 
     G: float
     G_prime: float
+    norm_sq: float
 
 
 @dataclass(frozen=True)
@@ -195,15 +204,11 @@ class EtaSet:
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """Steady-state summary at one operating point.
-
-    ``bias`` is per-tap and therefore only available when the actual
-    coefficient vector is known (None in expected-strengths mode).
-    """
+    """Steady-state summary at one operating point.  The per-tap bias
+    is :func:`steady_bias` of the coefficient vector."""
 
     omega: float
     d_inf: float
-    bias: np.ndarray | None
     kappa_opt: float
     d_min: float
     kappa_outperform_bound: float
@@ -311,20 +316,29 @@ def classify(s, alpha: float) -> TapClassification:
     )
 
 
+@functools.cache
+def _legendre_rule():
+    """The 128-node Gauss-Legendre rule on [-1, 1], built once."""
+    x, w = leggauss(128)
+    x.flags.writeable = w.flags.writeable = False   # shared by every call
+    return x, w
+
+
 def strengths(alpha: float, s=None, Q: int | None = None,
-              sigma_s: float = 1.0, nodes: int = 128) -> AttractionStrengths:
-    """Attraction strengths, exact or in expectation.
+              sigma_s: float = 1.0) -> AttractionStrengths:
+    """Attraction strengths and energy of a system, exact or in
+    expectation; the one place the closed forms get either from.
 
     Exact mode (``s`` given): sum g(s_k)^2 and s_k*g(s_k) over the small
-    coefficients of ``s``.
+    coefficients of ``s``; the energy is sum s_k^2.
 
     Expected mode (``Q`` given): model the Q non-zero coefficients as
     N(0, sigma_s^2) and return Q-scaled expectations of the same
-    quantities restricted to the attraction range.  The integrals run
-    over [0, min(1/alpha, 16*sigma_s)] with Gauss-Legendre quadrature
-    (both integrands are even; past 16 sigma the Gaussian mass is below
-    1e-56, and truncating there keeps the nodes where the density lives
-    when 1/alpha is huge).
+    quantities restricted to the attraction range, and the energy
+    Q*sigma_s^2.  The integrals run over [0, min(1/alpha, 16*sigma_s)]
+    with 128-node Gauss-Legendre quadrature (both integrands are even;
+    past 16 sigma the Gaussian mass is below 1e-56, and truncating there
+    keeps the nodes where the density lives when 1/alpha is huge).
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
@@ -335,10 +349,11 @@ def strengths(alpha: float, s=None, Q: int | None = None,
         m = (np.abs(s) > 0) & (np.abs(s) < 1.0 / alpha)
         gs = _attract_l0(s[m], alpha)
         return AttractionStrengths(G=float(np.sum(gs * gs)),
-                                   G_prime=float(np.sum(s[m] * gs)))
+                                   G_prime=float(np.sum(s[m] * gs)),
+                                   norm_sq=float(s @ s))
     if Q == 0:
-        return AttractionStrengths(G=0.0, G_prime=0.0)
-    x, w = leggauss(nodes)
+        return AttractionStrengths(G=0.0, G_prime=0.0, norm_sq=0.0)
+    x, w = _legendre_rule()
     c = min(1.0 / alpha, 16.0 * sigma_s)
     t = 0.5 * c * (x + 1.0)
     ww = 0.5 * c * w
@@ -346,7 +361,7 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     gt = 2.0 * alpha * alpha * t - 2.0 * alpha      # t > 0 branch
     G = 2.0 * Q * float(np.sum(ww * gt * gt * pdf))
     Gp = 2.0 * Q * float(np.sum(ww * t * gt * pdf))
-    return AttractionStrengths(G=G, G_prime=Gp)
+    return AttractionStrengths(G=G, G_prime=Gp, norm_sq=Q * sigma_s ** 2)
 
 
 def mu_max(L: int, Px: float) -> float:
@@ -412,10 +427,10 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
 # steady state
 # ---------------------------------------------------------------------------
 
-def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
-          alpha: float, Px: float, Pv: float) -> BetaSet:
-    """Constants of the steady-state MSD as a function of the attraction
-    weight, with cancellation-free combinations precomputed."""
+def _beta_terms(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
+                mu: float, alpha: float, Px: float):
+    """beta0 and the intermediate factors e1..e4 of beta1 = e1*(e2+e3+e4)
+    and beta2 = 2*e1*sqrt(e2*e3); the e's are also eta1..eta4."""
     DL, DQ, D0, D0p = d.as_tuple()
     G = st.G
     b0 = mu * Px * D0p * DL * G \
@@ -423,15 +438,22 @@ def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
     if b0 == 0.0:
         raise ParameterRangeError(
             "degenerate attraction constants (beta0 = 0)")
-    # recombination through intermediate factors: beta1 = e1*(e2+e3+e4),
-    # beta2 = 2*e1*sqrt(e2*e3), so beta1 -+ beta2 collapse to squares.
     e1 = 1.0 / (mu ** 2 * Px ** 2 * DL)
     e2 = (L - Q) * b0 / (DL * DQ)
     e3 = 4 * alpha ** 2 * (L - Q) * D0 * DQ / (math.pi * DL)
     e4 = G * D0p * DL / DQ
+    return b0, e1, e2, e3, e4
+
+
+def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
+          alpha: float, Px: float, Pv: float) -> BetaSet:
+    """Constants of the steady-state MSD as a function of the attraction
+    weight, with cancellation-free combinations precomputed."""
+    # through the factors of _beta_terms, beta1 -+ beta2 collapse to squares
+    b0, e1, e2, e3, e4 = _beta_terms(d, st, L, Q, mu, alpha, Px)
     b1 = e1 * (e2 + e3 + e4)
     b2 = 2 * e1 * math.sqrt(e2 * e3)
-    b3 = 2 * mu ** 3 * Px ** 2 * Pv * D0 * DL / b0
+    b3 = 2 * mu ** 3 * Px ** 2 * Pv * d.delta_0 * d.delta_L / b0
     diff = e1 * ((math.sqrt(e2) - math.sqrt(e3)) ** 2 + e4)
     summ = e1 * ((math.sqrt(e2) + math.sqrt(e3)) ** 2 + e4)
     return BetaSet(beta0=b0, beta1=b1, beta2=b2, beta3=b3,
@@ -440,17 +462,14 @@ def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
 
 def etas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
          alpha: float, Px: float, Pv: float) -> EtaSet:
-    """Constants of the sparse-limit MSD approximations."""
-    DL, DQ, D0, D0p = d.as_tuple()
-    G = st.G
-    b = betas(d, st, L, Q, mu, alpha, Px, Pv)
+    """Constants of the sparse-limit MSD approximations; eta1..eta4 are
+    the factors e1..e4 of :func:`betas`."""
+    DL, D0 = d.delta_L, d.delta_0
+    _, e1, e2, e3, e4 = _beta_terms(d, st, L, Q, mu, alpha, Px)
     return EtaSet(
         eta0=16 * Pv * alpha ** 2 * D0 ** 2 / (math.pi * mu * Px ** 2 * DL ** 3),
-        eta1=1.0 / (mu ** 2 * Px ** 2 * DL),
-        eta2=(L - Q) * b.beta0 / (DL * DQ),
-        eta3=4 * alpha ** 2 * (L - Q) * D0 * DQ / (math.pi * DL),
-        eta4=G * D0p * DL / DQ,
-        eta5=4 * alpha ** 2 * mu * Px * L + 2 * G,
+        eta1=e1, eta2=e2, eta3=e3, eta4=e4,
+        eta5=4 * alpha ** 2 * mu * Px * L + 2 * st.G,
         eta6=16 * alpha ** 2 * L / (math.pi * DL),
     )
 
@@ -480,15 +499,15 @@ def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
 
 
 def _strengths_of(system_or_strengths, alpha):
-    """Normalize the (system | (L, Q, strengths)) polymorphic argument."""
+    """Normalize the (system | (L, Q, strengths)) polymorphic argument to
+    ``(L, Q, strengths)``; a system gives its exact strengths."""
     if isinstance(system_or_strengths, SparseSystem):
         sysm = system_or_strengths
-        st = strengths(alpha, s=sysm.s)
-        return sysm.L, sysm.Q, st, sysm
+        return sysm.L, sysm.Q, strengths(alpha, s=sysm.s)
     L, Q, st = system_or_strengths
     if not isinstance(st, AttractionStrengths):
         raise TypeError("expected (L, Q, AttractionStrengths)")
-    return int(L), int(Q), st, None
+    return int(L), int(Q), st
 
 
 def _d_inf_beta(b: BetaSet, d_lms: float, kappa: float) -> float:
@@ -512,15 +531,16 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
                   signal: SignalModel) -> SteadyStateReport:
     """Steady-state MSD of the l0 variant, with optimal-weight summary.
 
-    Accepts either a :class:`SparseSystem` (exact strengths, per-tap bias
-    available) or a tuple ``(L, Q, AttractionStrengths)`` (expected
-    strengths, bias None).  The primary value is computed from the
-    weight-explicit form and cross-checked against the power-balance
-    form; disagreement beyond relative 1e-9 raises ConsistencyError.
+    Accepts either a :class:`SparseSystem` (exact strengths) or a tuple
+    ``(L, Q, AttractionStrengths)`` (typically expected strengths).  The
+    primary value is computed from the weight-explicit form and
+    cross-checked against the power-balance form; disagreement beyond
+    relative 1e-9 raises ConsistencyError.  The per-tap bias of a known
+    system is :func:`steady_bias`.
     """
     if Variant(params.variant) is not Variant.L0LMS:
         raise ValueError("l0_steady_msd applies to the l0 variant")
-    L, Q, st, sysm = _strengths_of(system_or_strengths, params.alpha)
+    L, Q, st = _strengths_of(system_or_strengths, params.alpha)
     _require_stable(L, params.mu, signal.Px)
     _low_snr_warning(signal)
     mu, kappa, alpha = params.mu, params.kappa, params.alpha
@@ -541,8 +561,7 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
             f"steady-state forms disagree: {d_inf!r} vs {d_inf_om!r}")
 
     ko, dmin, bound = optimal_kappa(b, d, L, mu, Pv)
-    bias = steady_bias(sysm.s, params, Px) if sysm is not None else None
-    return SteadyStateReport(omega=om, d_inf=d_inf, bias=bias,
+    return SteadyStateReport(omega=om, d_inf=d_inf,
                              kappa_opt=ko, d_min=dmin,
                              kappa_outperform_bound=bound, d_lms=d_lms)
 
@@ -662,7 +681,9 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
 
     # optimal rho via the small-alpha limit of the l0 optimum
     alpha_lim = 1e-5
-    st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0)
+    # betas does not read the system energy
+    st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
+                                 norm_sq=math.nan)
     d_lim = deltas(L, Q, mu, Px)
     b_lim = betas(d_lim, st_lim, L, Q, mu, alpha_lim, Px, Pv)
     ko, _, _ = optimal_kappa(b_lim, d_lim, L, mu, Pv)
@@ -705,15 +726,11 @@ def convergence_model(system_or_strengths, params: AlgoParams,
     DegenerateSpectrumError (the step-by-step recursion remains valid in
     that regime — use :func:`exact_recursion`).
     """
-    L, Q, st, sysm = _strengths_of(system_or_strengths, params.alpha)
+    L, Q, st = _strengths_of(system_or_strengths, params.alpha)
     _require_stable(L, params.mu, signal.Px)
     _low_snr_warning(signal)
     mu, kappa, alpha = params.mu, params.kappa, params.alpha
     Px, Pv = signal.Px, signal.Pv
-    if sysm is not None:
-        s_norm_sq = sysm.norm_sq
-    else:
-        s_norm_sq = float(Q)    # ensemble expectation with unit-variance taps
     d, om, (a00, a01, a10, a11), (b00, b01, b1) = _transient_pieces(
         L, Q, mu, kappa, alpha, Px, Pv, st)
 
@@ -734,7 +751,7 @@ def convergence_model(system_or_strengths, params: AlgoParams,
     d_inf = float(np.linalg.solve(np.eye(2) - A,
                                   np.array([b00, b1]))[0])
     c3 = (lam3 - a11) * b01 / ((lam3 - lam1) * (lam3 - lam2))
-    D0_ = s_norm_sq
+    D0_ = st.norm_sq
     D1_ = a00 * D0_ + b00 + b01           # zero-tap deviation starts at 0
     M = np.array([[1.0, 1.0], [lam1, lam2]])
     cond = float(np.linalg.cond(M))
@@ -750,7 +767,7 @@ def convergence_model(system_or_strengths, params: AlgoParams,
         c1=float(c1), c2=float(c2), c3=float(c3), d_inf=d_inf,
         omega=om, condition_number=cond,
         L=L, Q=Q, mu=mu, kappa=kappa, alpha=alpha, Px=Px, Pv=Pv,
-        s_norm_sq=s_norm_sq)
+        s_norm_sq=st.norm_sq)
 
 
 def exact_recursion(system_or_strengths, params: AlgoParams,
@@ -764,15 +781,14 @@ def exact_recursion(system_or_strengths, params: AlgoParams,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    L, Q, st, sysm = _strengths_of(system_or_strengths, params.alpha)
+    L, Q, st = _strengths_of(system_or_strengths, params.alpha)
     _require_stable(L, params.mu, signal.Px)
     mu, kappa, alpha = params.mu, params.kappa, params.alpha
     Px, Pv = signal.Px, signal.Pv
-    s_norm_sq = sysm.norm_sq if sysm is not None else float(Q)
     d, om, (a00, a01, a10, a11), (b00, b01, b1) = _transient_pieces(
         L, Q, mu, kappa, alpha, Px, Pv, st)
     A = np.array([[a00, a01], [a10, a11]])
-    u = np.array([s_norm_sq, 0.0])
+    u = np.array([st.norm_sq, 0.0])
     out = np.empty((n_max + 1, 2))
     out[0] = u
     p3 = 1.0

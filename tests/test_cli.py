@@ -198,6 +198,13 @@ def test_experiment_config_curve_and_manifest(tmp_path, capsys):
     # lossless JSON round trip
     assert RunManifest.from_json(m.to_json()) == m
 
+    # with sigma_s = 2 the theory curve starts at Q * sigma_s^2 = 12
+    cfg = write_config(tmp_path / "tiny2.json",
+                       **{**TINY, "kappa": "OPTIMAL", "sigma_s": 2.0})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "tiny2_40dB_curve.csv")
+    assert float(rows[0][1]) == pytest.approx(12.0, rel=1e-12)
+
 
 def test_simulate_config_writes_only_sim_files(tmp_path):
     cfg = write_config(tmp_path / "tinysim.json", **TINY, kappa=2e-5)
@@ -422,7 +429,13 @@ def test_config_file_errors(tmp_path, capsys):
                             ("Px", "-1", "Px must be > 0"),
                             ("Px", "0", "Px must be > 0"),
                             ("sigma_s", "-1", "sigma_s must be > 0"),
-                            ("snr_db", "NaN", "snr_db must be a finite")):
+                            ("snr_db", "NaN", "snr_db must be a finite"),
+                            ("kappa", "NaN", "kappa must be a finite"),
+                            ("kappa", "Infinity", "kappa must be a finite"),
+                            ("mu", "true", "mu must be a finite"),
+                            ("alpha", "true", "alpha must be a finite"),
+                            ("kappa", "[true, 1e-3]", "kappa sweep must be"),
+                            ("mu", "[1e-3, NaN]", "mu sweep must be")):
         # raw JSON values, so that NaN reaches the spec
         raw = {"L": "8", "Q": "2", "mu": "1e-3", "snr_db": "40",
                "trials": "1", "iterations": "10", key: value}

@@ -116,6 +116,14 @@ def test_spec_validation():
                     (dict(Pv=math.inf), "Pv must be a finite")):
         with pytest.raises(ValueError, match=msg):
             small_spec(**kw)
+    for field in ("mu", "alpha", "kappa"):
+        for bad in (True, math.nan, math.inf, -math.inf, None):
+            with pytest.raises(ValueError,
+                               match=f"{field} must be a finite number"):
+                small_spec(**{field: bad})
+        for bad in ([True, 1e-3], [1e-3, math.nan], (math.inf,), []):
+            with pytest.raises(ValueError, match=f"{field} sweep must be"):
+                small_spec(**{field: bad})
     whole = small_spec(iterations=1e5, trials=4.0)
     assert (whole.iterations, whole.trials) == (100000, 4)
     assert type(whole.iterations) is int and type(whole.trials) is int

@@ -217,7 +217,7 @@ def test_omega_no_attraction_closed_form():
 
 def test_omega_zero_forcing_is_zero():
     f, d, stg = _flagship_pieces()
-    zero = AttractionStrengths(G=0.0, G_prime=0.0)
+    zero = AttractionStrengths(G=0.0, G_prime=0.0, norm_sq=0.0)
     assert solve_omega(d, zero, f["L"], f["Q"], f["mu"], 0.0, f["alpha"], f["Px"], 0.0) == 0.0
 
 

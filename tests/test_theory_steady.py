@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from sparselms import (
     SnrConvention,
     SparseSystem,
     StabilityError,
+    SteadyStateReport,
     Variant,
     approx_min_msd,
     deltas,
+    gen_system,
     l0_steady_msd,
     lms_theory,
     mu_max,
@@ -70,6 +73,12 @@ def test_signal_validation():
         SignalModel(Px=1.0, Pv=0.0)
     with pytest.raises(ValueError):
         SignalModel(Px=0.0, Pv=0.01)
+    for zero in (dict(Q=0), dict(s=np.zeros(8))):
+        with pytest.raises(ValueError, match="undefined for an all-zero"):
+            SignalModel.from_snr(1.0, 40.0, **zero)
+    # the input-referred convention does not read the system
+    assert SignalModel.from_snr(1.0, 40.0, SnrConvention.INPUT_REFERRED,
+                                Q=0).Pv == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_low_snr_warning():
@@ -165,15 +174,29 @@ def test_exact_strengths_route_and_bias():
     p = AlgoParams(variant=Variant.L0LMS, mu=2e-4, kappa=1e-7, alpha=10.0)
     sig = SignalModel(Px=1.0, Pv=1e-4)
     rep = l0_steady_msd(sysm, p, sig)
-    assert rep.bias is not None and rep.bias.shape == s.shape
+    assert rep.d_inf > 0
+    bias = steady_bias(s, p, 1.0)
+    assert bias.shape == s.shape
     # bias lives only on the small coefficients
     small = (np.abs(s) > 0) & (np.abs(s) < 0.1)
-    assert np.all(rep.bias[~small] == 0.0)
-    assert np.all(rep.bias[small] != 0.0)
-    # expected-strengths route returns no bias
-    stg = strengths(10.0, Q=30)
-    rep2 = l0_steady_msd((300, 30, stg), p, sig)
-    assert rep2.bias is None
+    assert np.all(bias[~small] == 0.0)
+    assert np.all(bias[small] != 0.0)
+    # the report carries no bias: steady_bias is its one route
+    assert "bias" not in {f.name for f in fields(SteadyStateReport)}
+
+
+def test_steady_msd_of_a_system_does_not_warn():
+    """At 3*kappa_opt the bias formula degrades, but l0_steady_msd does
+    not evaluate it."""
+    f = FLAGSHIP
+    ko = flagship_report(kappa=0.0).kappa_opt
+    p = AlgoParams(variant=Variant.L0LMS, mu=f["mu"], kappa=3 * ko,
+                   alpha=f["alpha"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = l0_steady_msd(gen_system(f["L"], f["Q"], 1), p,
+                            SignalModel(Px=f["Px"], Pv=f["Pv"]))
+    assert rep.d_inf > 0
 
 
 def test_steady_bias_values_and_warning():

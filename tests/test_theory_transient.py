@@ -96,11 +96,15 @@ def test_exact_system_start_uses_its_norm():
     rng = np.random.default_rng(11)
     s = np.zeros(500)
     s[:40] = rng.standard_normal(40)
-    sysm = SparseSystem.from_vector(s)
     p = AlgoParams(variant=Variant.L0LMS, mu=4e-4, kappa=1e-7, alpha=10.0)
-    m = convergence_model(sysm, p, SignalModel(Px=1.0, Pv=1e-4))
-    assert m.s_norm_sq == pytest.approx(float(s @ s), rel=1e-12)
-    assert m.msd(0) == pytest.approx(float(s @ s), rel=1e-9)
+    sig = SignalModel(Px=1.0, Pv=1e-4)
+    # a drawn system starts at ||s||^2; the ensemble at Q * sigma_s^2
+    for system, energy in ((SparseSystem.from_vector(s), float(s @ s)),
+                           ((32, 4, strengths(10.0, Q=4, sigma_s=2.0)), 16.0)):
+        m = convergence_model(system, p, sig)
+        assert m.s_norm_sq == pytest.approx(energy, rel=1e-12)
+        assert m.msd(0) == pytest.approx(energy, rel=1e-9)
+        assert exact_recursion(system, p, sig, n_max=1)[0, 0] == energy
 
 
 def test_recursion_shape_and_start():
@@ -149,7 +153,7 @@ def test_spectrum_ordering_and_bounds():
 def test_degenerate_spectrum_raises():
     # L=1 at mu=0.5: the 2x2 block's second eigenvalue collides with the
     # geometric forcing mode (both 0.5) while still inside the stable range
-    stg = AttractionStrengths(G=0.0, G_prime=0.0)
+    stg = AttractionStrengths(G=0.0, G_prime=0.0, norm_sq=0.0)
     p = AlgoParams(variant=Variant.L0LMS, mu=0.5, kappa=0.0, alpha=10.0)
     with pytest.raises(DegenerateSpectrumError, match="recursion"):
         convergence_model((1, 0, stg), p, SignalModel(Px=1.0, Pv=1e-4))
