@@ -20,9 +20,9 @@ from .theory import (AccelerationReport, ApproxMode, AttractionStrengths,
                      optimal_kappa, small_tap_mean_curve, solve_omega, steady_bias,
                      strengths, tapwise_recursion, za_steady_msd)
 from .simulate import (ExperimentSpec, NotConvergedError, Trajectory,
-                       TrialResult, default_iterations, estimate_steady,
-                       gen_system, monte_carlo, noise_power, resolve_kappa,
-                       run_trial, stream)
+                       TrialResult, closed_form, default_iterations,
+                       estimate_steady, gen_system, monte_carlo, noise_power,
+                       resolve_kappa, run_trials, stream)
 
 __all__ = [
     "__version__",
@@ -41,6 +41,6 @@ __all__ = [
     "strengths", "tapwise_recursion", "za_steady_msd",
     # simulation
     "ExperimentSpec", "NotConvergedError", "Trajectory", "TrialResult",
-    "default_iterations", "estimate_steady", "gen_system", "monte_carlo",
-    "noise_power", "resolve_kappa", "run_trial", "stream",
+    "closed_form", "default_iterations", "estimate_steady", "gen_system",
+    "monte_carlo", "noise_power", "resolve_kappa", "run_trials", "stream",
 ]

@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 validation error, 2 divergence detected,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -35,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, theory
-from .kernels import AlgoParams, Variant
-from .simulate import (ExperimentSpec, default_iterations, monte_carlo,
-                       noise_power, resolve_kappa)
+from .kernels import Variant
+from .simulate import (ExperimentSpec, closed_form, default_iterations,
+                       monte_carlo, noise_power, resolve_kappa)
 
 ENV_OUTDIR = "SPARSELMS_OUTDIR"
 DEFAULT_SEED = 1
@@ -64,6 +65,20 @@ def to_db(x):
     return out if out.ndim else float(out)
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Write a temporary file beside ``path`` and move it over ``path``
+    when the block completes; if the block raises, ``path`` is untouched
+    and the temporary file is removed.  Readers never see a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns under ``header``: ``n`` and ``Q`` as
     integers, ``*_db`` columns with 4 decimals, the rest with 17
@@ -78,7 +93,7 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 
     cells = [text(c, v) for c, v in zip(header, columns)]
     try:
-        with open(path, "w", newline="") as f:
+        with _replacing(path) as f:
             w = csv.writer(f)
             w.writerow(header)
             w.writerows(zip(*cells))
@@ -115,7 +130,8 @@ class RunManifest:
                       "files": tuple(d["files"])})
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        with _replacing(Path(path)) as f:
+            f.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -265,31 +281,13 @@ def _config_sweep(spec: ExperimentSpec) -> Sweep:
 # per-point evaluation
 # ---------------------------------------------------------------------------
 
-def _signal(spec: ExperimentSpec) -> theory.SignalModel:
-    return theory.SignalModel(Px=spec.Px, Pv=noise_power(spec))
-
-
-def _closed_form(spec: ExperimentSpec):
-    """Arguments of the l0 closed forms (expected strengths) for a scalar
-    spec, or None for ZA/RZA, whose theory columns are NaN.  Plain LMS is
-    the kappa = 0 case."""
-    variant = spec.variants[0]
-    if variant in (Variant.ZALMS, Variant.RZALMS):
-        return None
-    kappa = 0.0 if variant is Variant.LMS else float(spec.kappa)
-    st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
-    params = AlgoParams(variant=Variant.L0LMS, mu=spec.mu, kappa=kappa,
-                        alpha=spec.alpha)
-    return (spec.L, spec.Q, st), params, _signal(spec)
-
-
 def _theory_steady(spec: ExperimentSpec) -> float:
-    args = _closed_form(spec)
+    args = closed_form(spec)
     return math.nan if args is None else theory.l0_steady_msd(*args).d_inf
 
 
 def _theory_curve(spec: ExperimentSpec, n: np.ndarray) -> np.ndarray:
-    args = _closed_form(spec)
+    args = closed_form(spec)
     if args is None:
         return np.full(n.size, math.nan)
     return np.asarray(theory.convergence_model(*args).msd(n))
@@ -472,7 +470,7 @@ def run_experiment(preset_or_config: str, out_dir, mode: str = "experiment",
         # only a config's per-variant curves are keyed by variant
         l0 = dict(points).get(Variant.L0LMS)
         if run.want_theory and l0 is not None:
-            rep = theory.l0_steady_msd(*_closed_form(l0))
+            rep = theory.l0_steady_msd(*closed_form(l0))
             entry.update(d_inf=rep.d_inf, d_lms=rep.d_lms,
                          kappa_opt_theory=rep.kappa_opt,
                          d_min=rep.d_min, omega=rep.omega)

@@ -10,7 +10,7 @@ the single-step reference that the batched Monte Carlo engine of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,8 @@ class Variant(str, enum.Enum):
 
 @dataclass(frozen=True)
 class AlgoParams:
-    """Algorithm variant plus its scalar controls.
-
-    Fields irrelevant to the selected variant are ignored by every
-    operation (an LMS step never looks at ``kappa``).
+    """Algorithm variant plus its scalar controls, one vocabulary for all
+    variants: the update adds ``kappa * g(w, alpha)``.
 
     Parameters
     ----------
@@ -38,33 +36,26 @@ class AlgoParams:
     mu : float
         Step size, > 0.
     kappa : float
-        Zero-point attraction weight (L0LMS only), >= 0.
+        Zero-point attraction weight, >= 0 (plain LMS ignores it).
     alpha : float
-        Reciprocal of the attraction-range half-width (L0LMS only), > 0.
-        The attractor acts on taps with ``|t| <= 1/alpha``.
-    rho : float
-        Attraction weight for ZALMS / RZALMS, >= 0.
-    epsilon : float
-        Shrink shape parameter (RZALMS only), > 0.
+        Attractor shape, > 0: the l0 attractor acts on ``|t| <= 1/alpha``;
+        for RZALMS it is the reweighting constant epsilon.  ZA ignores it.
     """
 
     variant: Variant
     mu: float
     kappa: float = 0.0
     alpha: float = 1.0
-    rho: float = 0.0
-    epsilon: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.kappa < 0 or self.rho < 0:
-            raise ValueError("attraction weights must be >= 0")
-        if self.variant is Variant.L0LMS and not self.alpha > 0:
+        if self.kappa < 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if (self.variant in (Variant.L0LMS, Variant.RZALMS)
+                and not self.alpha > 0):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.variant is Variant.RZALMS and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -124,14 +115,12 @@ def _attract_l0(t: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(inside, 2.0 * alpha * alpha * t - 2.0 * alpha * np.sign(t), 0.0)
 
 
-# variant -> (the AlgoParams field that weights its attraction term, the
-# raw attractor g(t, params)); plain LMS has none.  attractor(), step()
-# and the Monte Carlo engine all read this one table.
+# variant -> its raw attractor g(t, alpha); plain LMS has none.
+# attractor(), step() and the Monte Carlo engine all read this one table.
 ATTRACTORS = {
-    Variant.L0LMS: ("kappa", lambda t, p: _attract_l0(t, p.alpha)),
-    Variant.ZALMS: ("rho", lambda t, p: -np.sign(t)),
-    Variant.RZALMS: ("rho",
-                     lambda t, p: -np.sign(t) / (1.0 + p.epsilon * np.abs(t))),
+    Variant.L0LMS: _attract_l0,
+    Variant.ZALMS: lambda t, alpha: -np.sign(t),
+    Variant.RZALMS: lambda t, alpha: -np.sign(t) / (1.0 + alpha * np.abs(t)),
 }
 
 
@@ -139,17 +128,17 @@ def attractor(variant, t, params: AlgoParams):
     """Evaluate the zero-point attractor g(t) for one tap value (or an
     array of tap values).
 
-    Returns the raw attractor output, not yet weighted by kappa or rho.
+    Returns the raw attractor output, not yet weighted by kappa.
 
     Raises
     ------
     ValueError
         For ``variant = LMS`` (plain LMS has no attractor).
     """
-    entry = ATTRACTORS.get(Variant(variant))
-    if entry is None:
+    g = ATTRACTORS.get(Variant(variant))
+    if g is None:
         raise ValueError("no attractor for plain LMS")
-    out = entry[1](np.asarray(t, dtype=float), params)
+    out = g(np.asarray(t, dtype=float), params.alpha)
     return out if out.ndim else float(out)
 
 
@@ -160,8 +149,8 @@ def step(state: FilterState, x, d: float, params: AlgoParams):
 
         w' = w + mu*e*x + (attraction term evaluated at w)
 
-    where the attraction term is ``kappa * g(w)`` for L0LMS,
-    ``rho * g(w)`` for ZALMS/RZALMS, and absent for LMS.  The attractor
+    where the attraction term is ``kappa * g(w, alpha)`` with the
+    variant's attractor g, absent for LMS.  The attractor
     argument is the current (pre-gradient) weight vector.  Pure: returns
     a new state, inputs untouched.
 
@@ -187,7 +176,7 @@ def step(state: FilterState, x, d: float, params: AlgoParams):
         raise ValueError("non-finite input values")
     e = float(d - x @ w)
     w_new = w + (params.mu * e) * x
-    field, g = ATTRACTORS.get(params.variant, (None, None))
-    if g is not None and getattr(params, field) != 0.0:
-        w_new += getattr(params, field) * g(w, params)
+    g = ATTRACTORS.get(params.variant)
+    if g is not None and params.kappa != 0.0:
+        w_new += params.kappa * g(w, params.alpha)
     return FilterState(w=w_new, n=state.n + 1), e

@@ -12,9 +12,8 @@ dot ``x @ w`` computes for one trial), and a diverged row leaves the
 array.  ``workers > 1`` splits the trials into contiguous shards, one
 process each, and the average runs in trial order, so a ``(spec, seed)``
 gives a bit-identical Trajectory across runs and worker counts.  The
-engine reproduces the per-trial loop over ``kernels.step`` it replaced
-bit for bit (``monte_carlo`` then stopped taking
-``record_weights_from``).
+engine, :func:`run_trials`, reproduces the per-trial loop over
+``kernels.step`` it replaced bit for bit.
 
 The input model fixes how the input stream becomes regressors.
 ``"delay_line"`` (the default) slides a window over one white sequence,
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -46,8 +45,8 @@ from .kernels import ATTRACTORS, AlgoParams, SparseSystem, Variant
 __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
     "ExperimentSpec", "TrialResult", "Trajectory", "NotConvergedError",
-    "run_trial", "monte_carlo", "estimate_steady", "noise_power",
-    "default_iterations", "resolve_kappa", "DIVERGENCE_FACTOR",
+    "run_trials", "monte_carlo", "estimate_steady", "noise_power",
+    "closed_form", "default_iterations", "resolve_kappa", "DIVERGENCE_FACTOR",
     "INPUT_MODELS",
 ]
 
@@ -122,14 +121,12 @@ class ExperimentSpec:
     """One experiment description.
 
     ``mu`` and ``alpha`` may be scalars or sweeps (tuples); ``kappa`` may
-    additionally be the string ``"OPTIMAL"`` (resolved per point from the
-    closed-form optimum with expected strengths).  ``monte_carlo``
+    additionally be the string ``"OPTIMAL"`` (resolved per point by
+    :func:`resolve_kappa`).  ``monte_carlo``
     consumes fully scalar specs; sweep expansion is the caller's job.
 
-    ``kappa`` is the attraction weight of whichever variant runs: the
-    zero-range attractor weight for the l0 variant, the sign-attractor
-    weight for the ZA/RZA variants (whose reweighting constant is tied
-    to ``alpha``).
+    ``kappa`` and ``alpha`` are the attraction weight and attractor shape
+    of whichever variant runs (see :class:`~sparselms.kernels.AlgoParams`).
 
     ``Pv`` overrides the SNR-derived noise power when set (e.g. for
     exact noise-free runs).  ``iterations=None`` resolves to ten
@@ -239,24 +236,42 @@ def default_iterations(L: int, Q: int, mu: float, Px: float) -> int:
     return int(math.ceil(10.0 / (mu * Px * d.delta_L)))
 
 
+def _scalar_params(spec: ExperimentSpec) -> AlgoParams:
+    """AlgoParams of a scalar spec: its variant at (mu, kappa, alpha)."""
+    return AlgoParams(variant=spec.variants[0], mu=spec.mu, kappa=spec.kappa,
+                      alpha=spec.alpha)
+
+
+def closed_form(spec: ExperimentSpec):
+    """Arguments ``((L, Q, strengths), params, signal)`` of the theory
+    entry points for a scalar spec, or None for ZA/RZA, which have no l0
+    closed form.  The strengths and energy describe the systems the run
+    averages over: the ensemble in ``"redraw"`` mode, trial 0's system in
+    ``"fixed"`` mode.  The noise power is the one the simulation uses."""
+    if spec.variants[0] in (Variant.ZALMS, Variant.RZALMS):
+        return None
+    if spec.system_mode == "fixed":
+        st = theory.strengths(spec.alpha, s=gen_system(
+            spec.L, spec.Q, spec.seed, sigma_s=spec.sigma_s).s)
+    else:
+        st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
+    return ((spec.L, spec.Q, st), _scalar_params(spec),
+            theory.SignalModel(Px=spec.Px, Pv=noise_power(spec)))
+
+
 def resolve_kappa(spec: ExperimentSpec) -> float:
-    """Resolve kappa="OPTIMAL" through the closed-form optimum with
-    expected strengths (l0 variant), or its small-alpha sign-attractor
-    limit (ZA/RZA variants)."""
+    """Resolve kappa="OPTIMAL": the optimum ``kappa_opt`` of the spec's
+    closed form (l0 variant and plain LMS), or its small-alpha
+    sign-attractor limit ``rho_opt`` (ZA/RZA variants)."""
     if not isinstance(spec.kappa, str):
         return float(spec.kappa)
     if not (isinstance(spec.mu, float) and isinstance(spec.alpha, float)):
         raise ValueError("resolve sweeps before resolving OPTIMAL kappa")
-    Pv = noise_power(spec)
-    variant = spec.variants[0]
-    if variant in (Variant.ZALMS, Variant.RZALMS):
-        rep = theory.za_steady_msd(spec.L, spec.Q, spec.mu, 0.0, spec.Px, Pv)
-        return rep.rho_opt
-    st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
-    d = theory.deltas(spec.L, spec.Q, spec.mu, spec.Px)
-    b = theory.betas(d, st, spec.L, spec.Q, spec.mu, spec.alpha, spec.Px, Pv)
-    ko, _, _ = theory.optimal_kappa(b, d, spec.L, spec.mu, Pv)
-    return ko
+    args = closed_form(replace(spec, kappa=0.0))
+    if args is None:
+        return theory.za_steady_msd(spec.L, spec.Q, spec.mu, 0.0, spec.Px,
+                                    noise_power(spec)).rho_opt
+    return theory.l0_steady_msd(*args).kappa_opt
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,32 +313,6 @@ class Trajectory:
         return self.diverged and self.n_diverged == self.trials
 
 
-def _scalar_params(spec: ExperimentSpec) -> AlgoParams:
-    """AlgoParams of a scalar spec (alpha is also the RZA epsilon)."""
-    k = resolve_kappa(spec)
-    return AlgoParams(variant=spec.variants[0], mu=spec.mu, kappa=k,
-                      alpha=spec.alpha, rho=k, epsilon=spec.alpha)
-
-
-def run_trial(system: SparseSystem, spec: ExperimentSpec,
-              params: AlgoParams, trial_index: int,
-              record_weights_from: int | None = None) -> TrialResult:
-    """Run one seeded trial of ``spec.iterations`` adaptation steps.
-
-    The delay-line window is warm-started (the regressor is fully
-    populated at n=0, as if the input existed before adaptation began);
-    ``spec.input_model = "iid"`` draws every regressor afresh.  Entry 0
-    of the returned series is ||s||^2 (zero-initialized weights).
-    Divergence — ||w||^2 exceeding 1e6 * max(1, ||s||^2) — truncates the
-    series at the offending entry and sets the flag.
-
-    ``record_weights_from`` additionally returns the time average of the
-    weight vector from that iteration on (for steady-state bias probes).
-    """
-    return _run_rows(spec, params, [system], trial_index,
-                     record_weights_from)[0]
-
-
 def _draw(rngs, n: int, scale: float) -> np.ndarray:
     """The next ``n`` samples of each row's stream, times ``scale``."""
     out = np.empty((len(rngs), n))
@@ -333,11 +322,24 @@ def _draw(rngs, n: int, scale: float) -> np.ndarray:
     return out
 
 
-def _run_rows(spec: ExperimentSpec, params: AlgoParams, systems: list,
-              first: int, record_weights_from: int | None = None) -> list:
-    """The Monte Carlo engine: trials ``first, first+1, ...`` (one per
-    system) advance as the rows of one weight array; returns their
-    TrialResults in trial order.  Every reduction stays within a row."""
+def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
+               first: int = 0,
+               record_weights_from: int | None = None) -> list:
+    """The Monte Carlo engine: trials ``first, first+1, ...``, one per
+    system, advance as the rows of one weight array for
+    ``spec.iterations`` steps; returns their TrialResults in trial order.
+    Every reduction stays within a row, so a row's bits do not depend on
+    the other rows.
+
+    The delay-line window is warm-started (fully populated at n=0);
+    ``spec.input_model = "iid"`` draws every regressor afresh.  Entry 0
+    of each series is ||s||^2 (zero-initialized weights).  Divergence —
+    ||w||^2 exceeding 1e6 * max(1, ||s||^2) — truncates a row's series at
+    the offending entry and sets its flag.  ``record_weights_from`` adds
+    each row's time-averaged weights from that iteration on (``wbar``).
+    """
+    if not systems:
+        return []
     rows, L = len(systems), spec.L
     n_iter = spec.iterations or default_iterations(L, spec.Q, params.mu,
                                                    spec.Px)
@@ -350,8 +352,8 @@ def _run_rows(spec: ExperimentSpec, params: AlgoParams, systems: list,
                       for role in (INPUT_ROLE, NOISE_ROLE))
     sx, sv = math.sqrt(spec.Px), math.sqrt(noise_power(spec))
     iid = spec.input_model == "iid"
-    field, g = ATTRACTORS.get(params.variant, (None, None))
-    weight = getattr(params, field) if g else 0.0
+    g = ATTRACTORS.get(params.variant)
+    weight = params.kappa if g else 0.0
     record_from = (n_iter + 1 if record_weights_from is None
                    else max(1, record_weights_from))
 
@@ -373,7 +375,7 @@ def _run_rows(spec: ExperimentSpec, params: AlgoParams, systems: list,
                                     _draw(inputs, k, sx)), axis=1)
         x = X[:, j] if iid else X[:, j:j + L][:, ::-1]
         e = np.vecdot(x, S) + v[:, j] - np.vecdot(x, W)
-        pull = weight * g(W, params) if weight else None
+        pull = weight * g(W, params.alpha) if weight else None
         W += (params.mu * e)[:, None] * x
         if weight:
             W += pull
@@ -421,7 +423,7 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
 
     shards = min(workers, spec.trials)
     edges = [i * spec.trials // shards for i in range(shards + 1)]
-    run = partial(_run_rows, spec, params)
+    run = partial(run_trials, spec, params)
     if shards > 1:
         with ProcessPoolExecutor(max_workers=shards) as ex:
             parts = ex.map(run, [systems[a:b] for a, b in

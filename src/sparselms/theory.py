@@ -7,7 +7,8 @@ Gaussian input of power ``Px``, white additive noise of power ``Pv``,
 and rest on the usual independence approximation between the regressor,
 the weights, and the noise.  :func:`tapwise_recursion` is the one
 numerical model: the same premises, without the closed form's
-linearization of the zero-tap attraction.
+linearization of the zero-tap attraction.  Every entry point that reads
+an AlgoParams treats plain LMS as the l0 variant at kappa = 0.
 
 Numerical style: several published-form expressions subtract nearly equal
 large terms (the attraction constants ``beta1`` and ``beta2`` agree to
@@ -346,10 +347,10 @@ def strengths(alpha: float, s=None, Q: int | None = None,
         raise ValueError("give exactly one of s (exact) or Q (expected)")
     if s is not None:
         s = np.asarray(s, dtype=float)
-        m = (np.abs(s) > 0) & (np.abs(s) < 1.0 / alpha)
-        gs = _attract_l0(s[m], alpha)
+        small = s[classify(s, alpha).small]
+        gs = _attract_l0(small, alpha)
         return AttractionStrengths(G=float(np.sum(gs * gs)),
-                                   G_prime=float(np.sum(s[m] * gs)),
+                                   G_prime=float(np.sum(small * gs)),
                                    norm_sq=float(s @ s))
     if Q == 0:
         return AttractionStrengths(G=0.0, G_prime=0.0, norm_sq=0.0)
@@ -358,7 +359,7 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     t = 0.5 * c * (x + 1.0)
     ww = 0.5 * c * w
     pdf = np.exp(-0.5 * (t / sigma_s) ** 2) / (sigma_s * math.sqrt(2 * math.pi))
-    gt = 2.0 * alpha * alpha * t - 2.0 * alpha      # t > 0 branch
+    gt = _attract_l0(t, alpha)
     G = 2.0 * Q * float(np.sum(ww * gt * gt * pdf))
     Gp = 2.0 * Q * float(np.sum(ww * t * gt * pdf))
     return AttractionStrengths(G=G, G_prime=Gp, norm_sq=Q * sigma_s ** 2)
@@ -398,6 +399,16 @@ def lms_theory(L: int, mu: float, Px: float, Pv: float, s=None,
     return out if out.ndim else float(out)
 
 
+def _l0_kappa(params: AlgoParams, name: str) -> float:
+    """The variant rule of every entry point that reads an AlgoParams:
+    the l0 weight is ``kappa`` for the l0 variant and 0 for plain LMS
+    (its kappa = 0 case); ZA and RZA have no l0 model and raise."""
+    if params.variant in (Variant.ZALMS, Variant.RZALMS):
+        raise ValueError(f"{name} applies to the l0 variant and plain LMS, "
+                         f"got {params.variant.value}")
+    return params.kappa if params.variant is Variant.L0LMS else 0.0
+
+
 def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
     """Steady-state mean weight error per tap for the l0 variant:
     kappa*g(s_k)/(mu*Px) on small coefficients, zero on large and zero
@@ -406,20 +417,18 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
     Valid when the attraction is a small perturbation of the gradient
     step; warns when 2*alpha^2*kappa >= 0.1*mu*Px.
     """
-    if Variant(params.variant) is not Variant.L0LMS:
-        raise ValueError("steady_bias applies to the l0 variant only")
-    if 2.0 * params.alpha ** 2 * params.kappa >= 0.1 * params.mu * Px:
+    kappa = _l0_kappa(params, "steady_bias")
+    mu, alpha = params.mu, params.alpha
+    if 2.0 * alpha ** 2 * kappa >= 0.1 * mu * Px:
         warnings.warn(
             "attraction strength is not small against the gradient step "
-            f"(2*alpha^2*kappa = {2*params.alpha**2*params.kappa:.3e} vs "
-            f"0.1*mu*Px = {0.1*params.mu*Px:.3e}); bias formula degrades",
+            f"(2*alpha^2*kappa = {2*alpha**2*kappa:.3e} vs "
+            f"0.1*mu*Px = {0.1*mu*Px:.3e}); bias formula degrades",
             RuntimeWarning, stacklevel=2)
     s = np.asarray(s, dtype=float)
-    cls = classify(s, params.alpha)
+    small = classify(s, alpha).small
     out = np.zeros_like(s)
-    sk = s[cls.small]
-    out[cls.small] = (params.kappa * _attract_l0(sk, params.alpha)
-                      / (params.mu * Px))
+    out[small] = kappa * _attract_l0(s[small], alpha) / (mu * Px)
     return out
 
 
@@ -538,12 +547,11 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
     relative 1e-9 raises ConsistencyError.  The per-tap bias of a known
     system is :func:`steady_bias`.
     """
-    if Variant(params.variant) is not Variant.L0LMS:
-        raise ValueError("l0_steady_msd applies to the l0 variant")
+    kappa = _l0_kappa(params, "l0_steady_msd")
     L, Q, st = _strengths_of(system_or_strengths, params.alpha)
     _require_stable(L, params.mu, signal.Px)
     _low_snr_warning(signal)
-    mu, kappa, alpha = params.mu, params.kappa, params.alpha
+    mu, alpha = params.mu, params.alpha
     Px, Pv = signal.Px, signal.Pv
     d = deltas(L, Q, mu, Px)
     b = betas(d, st, L, Q, mu, alpha, Px, Pv)
@@ -726,10 +734,11 @@ def convergence_model(system_or_strengths, params: AlgoParams,
     DegenerateSpectrumError (the step-by-step recursion remains valid in
     that regime — use :func:`exact_recursion`).
     """
+    kappa = _l0_kappa(params, "convergence_model")
     L, Q, st = _strengths_of(system_or_strengths, params.alpha)
     _require_stable(L, params.mu, signal.Px)
     _low_snr_warning(signal)
-    mu, kappa, alpha = params.mu, params.kappa, params.alpha
+    mu, alpha = params.mu, params.alpha
     Px, Pv = signal.Px, signal.Pv
     d, om, (a00, a01, a10, a11), (b00, b01, b1) = _transient_pieces(
         L, Q, mu, kappa, alpha, Px, Pv, st)
@@ -781,9 +790,10 @@ def exact_recursion(system_or_strengths, params: AlgoParams,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    kappa = _l0_kappa(params, "exact_recursion")
     L, Q, st = _strengths_of(system_or_strengths, params.alpha)
     _require_stable(L, params.mu, signal.Px)
-    mu, kappa, alpha = params.mu, params.kappa, params.alpha
+    mu, alpha = params.mu, params.alpha
     Px, Pv = signal.Px, signal.Pv
     d, om, (a00, a01, a10, a11), (b00, b01, b1) = _transient_pieces(
         L, Q, mu, kappa, alpha, Px, Pv, st)
@@ -967,9 +977,8 @@ def tapwise_recursion(system, params, signal: SignalModel,
         raise TypeError("expected a SparseSystem or a sequence of them")
     if not plist or not all(isinstance(p, AlgoParams) for p in plist):
         raise TypeError("expected AlgoParams or a sequence of them")
-    if any(p.variant not in (Variant.L0LMS, Variant.LMS) for p in plist):
-        raise ValueError("tapwise_recursion applies to the l0 variant and "
-                         "plain LMS")
+    kappa_r = np.array([_l0_kappa(p, "tapwise_recursion") for p in plist
+                        for _ in systems])
     mu, alpha = plist[0].mu, plist[0].alpha
     if any((p.mu, p.alpha) != (mu, alpha) for p in plist):
         raise ValueError("batched params may differ in kappa only")
@@ -981,17 +990,15 @@ def tapwise_recursion(system, params, signal: SignalModel,
 
     # one row per (params, system) pair; non-zero taps of all rows are
     # flattened, with owner[k] the row of tap k
-    rows = [(p.kappa if p.variant is Variant.L0LMS else 0.0, x)
-            for p in plist for x in systems]
+    rows = [x for _ in plist for x in systems]
     R = len(rows)
-    kappa_r = np.array([k for k, _ in rows])
-    s_nz = np.concatenate([x.s[x.s != 0.0] for _, x in rows])
-    owner = np.repeat(np.arange(R), [x.Q for _, x in rows])
+    s_nz = np.concatenate([x.s[x.s != 0.0] for x in rows])
+    owner = np.repeat(np.arange(R), [x.Q for x in rows])
     kappa = kappa_r[owner]
     attracted = kappa > 0.0
     m = -s_nz                               # E[h] starts at -s
     v = np.zeros_like(s_nz)                 # Var[h]
-    n_zero = np.array([x.L - x.Q for _, x in rows], dtype=float)
+    n_zero = np.array([x.L - x.Q for x in rows], dtype=float)
     S0 = np.zeros(R)                        # zero-tap second moment
 
     out = np.empty((R, n_max + 1))
@@ -999,7 +1006,7 @@ def tapwise_recursion(system, params, signal: SignalModel,
     ar = np.flatnonzero(kappa_r > 0.0)
     kappa_a = kappa_r[ar]
     if ar.size:
-        grid = _ZeroTapGrid([rows[r][1] for r in ar], kappa_a, mu, alpha,
+        grid = _ZeroTapGrid([rows[r] for r in ar], kappa_a, mu, alpha,
                             Px, Pv)
         P = np.zeros((ar.size, _FP_CELLS))  # cell masses of the law of |w|
         P[:, 0] = 1.0                       # w_0 = 0 on every zero tap

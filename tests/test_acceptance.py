@@ -36,7 +36,7 @@ from sparselms import (
     monte_carlo,
     mu_max,
     optimal_kappa,
-    run_trial,
+    run_trials,
     steady_bias,
     strengths,
     tapwise_recursion,
@@ -493,12 +493,10 @@ def test_criterion_10_steady_bias_by_tap_class(criterion):
     spec = ExperimentSpec(L=128, Q=14, mu=1e-3, alpha=10.0, kappa=2e-7,
                           Pv=Pv, trials=40, iterations=26000, seed=1)
 
-    wbars = []
-    for t in range(spec.trials):
-        r = run_trial(system, spec, params, t, record_weights_from=6000)
-        assert not r.diverged
-        wbars.append(r.wbar)
-    W = np.asarray(wbars)
+    results = run_trials(spec, params, [system] * spec.trials,
+                         record_weights_from=6000)
+    assert not any(r.diverged for r in results)
+    W = np.asarray([r.wbar for r in results])
     mis = W.mean(axis=0) - s
 
     bias = steady_bias(s, params, Px=1.0)

@@ -18,9 +18,11 @@ from sparselms import (
     AlgoParams,
     SignalModel,
     Variant,
+    gen_system,
     l0_steady_msd,
     strengths,
 )
+from sparselms import cli
 from sparselms.cli import RunManifest, load_config, main
 from sparselms.simulate import ExperimentSpec, noise_power, resolve_kappa
 
@@ -204,6 +206,33 @@ def test_experiment_config_curve_and_manifest(tmp_path, capsys):
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "tiny2_40dB_curve.csv")
     assert float(rows[0][1]) == pytest.approx(12.0, rel=1e-12)
+
+
+def test_fixed_mode_theory_describes_the_drawn_system(tmp_path):
+    """A fixed-system run is described by trial 0's system: the theory
+    curve starts at that system's energy, where the simulation starts,
+    and "OPTIMAL" is that system's optimum.  The noise power stays the
+    one the simulation uses (the ensemble reference)."""
+    fixed = dict(L=24, Q=3, mu=2e-3, alpha=10.0, kappa=1e-5, snr_db=40.0,
+                 trials=20, iterations=3000, seed=3, system_mode="fixed")
+    cfg = write_config(tmp_path / "fixed.json", **fixed)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "fixed_40dB_curve.csv")
+    assert header[:3] == ["n", "msd_theory", "msd_sim"]
+    system = gen_system(24, 3, seed=3)
+    assert system.norm_sq == pytest.approx(1.617, abs=1e-3)   # not Q = 3
+    assert float(rows[0][1]) == pytest.approx(system.norm_sq, rel=1e-12)
+    assert float(rows[0][2]) == pytest.approx(system.norm_sq, rel=1e-12)
+    spec = ExperimentSpec(**fixed)
+    m = RunManifest.load(tmp_path / "fixed_manifest.json")
+    assert m.resolved["40dB"]["Pv"] == noise_power(spec) \
+        == pytest.approx(3e-4, rel=1e-12)
+
+    sig = SignalModel(Px=1.0, Pv=noise_power(spec))
+    own = l0_steady_msd(system, AlgoParams(variant=Variant.L0LMS, mu=2e-3,
+                                           alpha=10.0), sig)
+    optimal = ExperimentSpec(**{**fixed, "kappa": "OPTIMAL"})
+    assert resolve_kappa(optimal) == own.kappa_opt
 
 
 def test_simulate_config_writes_only_sim_files(tmp_path):
@@ -611,3 +640,48 @@ def test_db_column_formatting(tmp_path):
     assert main(["theory", "--config", cfg, "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "fmt_40dB_curve_theory.csv")
     assert all(re.fullmatch(r"-?\d+\.\d{4}", r[2]) for r in rows[:50])
+
+
+def test_writes_replace_files_whole(tmp_path, monkeypatch):
+    """CSVs and manifests are written to a temporary file and renamed over
+    the target: a write that fails part-way leaves the previous file
+    byte-identical and no temporary file behind."""
+    path = tmp_path / "a.csv"
+    cli._write_csv(path, ["n", "msd"], [[0, 1], [1.0, 0.5]])
+    before = path.read_bytes()
+    real_writer = csv.writer
+
+    class Torn:                 # the header goes out, then a row half-way
+        def __init__(self, f):
+            self.f, self.w = f, real_writer(f)
+
+        def writerow(self, row):
+            self.w.writerow(row)
+
+        def writerows(self, rows):
+            self.f.write("0,0.")
+            raise OSError("disk full")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(csv, "writer", Torn)
+        with pytest.raises(cli.CliError, match="disk full"):
+            cli._write_csv(path, ["n", "msd"], [[0, 1, 2], [2.0, 1.0, 0.5]])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    manifest = RunManifest(version="0", timestamp="", preset=None,
+                           spec=ExperimentSpec(**TINY), resolved={},
+                           files=("a.csv",))
+    mpath = tmp_path / "m.json"
+    manifest.save(mpath)
+    before = mpath.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            RunManifest(**{**vars(manifest), "files": ()}).save(mpath)
+    assert mpath.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "m.json"]

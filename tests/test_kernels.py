@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,14 +43,14 @@ def test_attractor_l0_continuous_at_range_boundary():
 
 
 def test_attractor_za_is_negated_sign():
-    p = AlgoParams(variant=Variant.ZALMS, mu=1e-3, rho=1e-4)
+    p = AlgoParams(variant=Variant.ZALMS, mu=1e-3, kappa=1e-4)
     assert attractor(Variant.ZALMS, -3.7, p) == 1.0
     assert attractor(Variant.ZALMS, 3.7, p) == -1.0
     assert attractor(Variant.ZALMS, 0.0, p) == 0.0
 
 
 def test_attractor_rza_shrinks_with_magnitude():
-    p = AlgoParams(variant=Variant.RZALMS, mu=1e-3, rho=1e-4, epsilon=10.0)
+    p = AlgoParams(variant=Variant.RZALMS, mu=1e-3, kappa=1e-4, alpha=10.0)
     assert attractor(Variant.RZALMS, 0.1, p) == pytest.approx(-0.5)
 
 
@@ -75,8 +77,8 @@ def test_attractor_l0_odd_and_finite(t, alpha):
 
 @given(t=st.floats(-1e3, 1e3))
 def test_attractor_za_rza_odd(t):
-    pz = AlgoParams(variant=Variant.ZALMS, mu=1e-3, rho=1e-4)
-    pr = AlgoParams(variant=Variant.RZALMS, mu=1e-3, rho=1e-4, epsilon=3.0)
+    pz = AlgoParams(variant=Variant.ZALMS, mu=1e-3, kappa=1e-4)
+    pr = AlgoParams(variant=Variant.RZALMS, mu=1e-3, kappa=1e-4, alpha=3.0)
     for variant, p in ((Variant.ZALMS, pz), (Variant.RZALMS, pr)):
         g = attractor(variant, t, p)
         assert np.isfinite(g)
@@ -137,7 +139,7 @@ def test_step_rejects_non_finite():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_step_zero_weight_variants_match_lms(seed):
-    """kappa=0 (L0LMS) and rho=0 (ZA/RZA) must be bit-identical to LMS."""
+    """kappa=0 must be bit-identical to LMS for every variant."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(8)
     x = rng.standard_normal(8)
@@ -147,8 +149,8 @@ def test_step_zero_weight_variants_match_lms(seed):
     ref, e_ref = step(FilterState(w=w.copy()), x, d, AlgoParams(variant=Variant.LMS, mu=mu))
     for p in (
         AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=0.0, alpha=10.0),
-        AlgoParams(variant=Variant.ZALMS, mu=mu, rho=0.0),
-        AlgoParams(variant=Variant.RZALMS, mu=mu, rho=0.0, epsilon=10.0),
+        AlgoParams(variant=Variant.ZALMS, mu=mu, kappa=0.0),
+        AlgoParams(variant=Variant.RZALMS, mu=mu, kappa=0.0, alpha=10.0),
     ):
         got, e_got = step(FilterState(w=w.copy()), x, d, p)
         assert e_got == e_ref
@@ -156,14 +158,15 @@ def test_step_zero_weight_variants_match_lms(seed):
 
 
 def test_step_l0_approaches_za_as_alpha_vanishes():
-    """With 2*alpha*kappa = rho fixed, the l0 update converges to the ZA update."""
+    """With 2*alpha*kappa held at the ZA weight rho, the l0 update converges
+    to the ZA update."""
     rng = np.random.default_rng(7)
     w = 0.5 * rng.standard_normal(16)
     x = rng.standard_normal(16)
     d = float(rng.standard_normal())
     mu, rho = 1e-3, 1e-4
 
-    za, _ = step(FilterState(w=w.copy()), x, d, AlgoParams(variant=Variant.ZALMS, mu=mu, rho=rho))
+    za, _ = step(FilterState(w=w.copy()), x, d, AlgoParams(variant=Variant.ZALMS, mu=mu, kappa=rho))
     gaps = []
     for alpha in (1e-3, 1e-4, 1e-5):
         p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=rho / (2 * alpha), alpha=alpha)
@@ -198,6 +201,12 @@ def test_algoparams_validation():
         AlgoParams(variant=Variant.L0LMS, mu=1e-3, kappa=-1.0)
     with pytest.raises(ValueError, match="alpha"):
         AlgoParams(variant=Variant.L0LMS, mu=1e-3, alpha=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        AlgoParams(variant=Variant.RZALMS, mu=1e-3, alpha=-1.0)
+    AlgoParams(variant=Variant.ZALMS, mu=1e-3, alpha=0.0)   # ZA reads no alpha
+    # one vocabulary for every variant: the weight and the shape
+    assert [f.name for f in fields(AlgoParams)] == ["variant", "mu", "kappa",
+                                                    "alpha"]
 
 
 def test_filterstate_zeros():

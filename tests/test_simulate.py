@@ -25,7 +25,7 @@ from sparselms import (
     mu_max,
     noise_power,
     resolve_kappa,
-    run_trial,
+    run_trials,
     step,
     stream,
 )
@@ -165,28 +165,29 @@ def test_resolve_kappa_optimal_matches_theory():
 
 
 def test_scalar_params_variant_wiring():
-    za = _scalar_params(small_spec(kappa=1e-5, variants=(Variant.ZALMS,)))
-    assert (za.variant, za.rho) == (Variant.ZALMS, 1e-5)
-    rza = _scalar_params(small_spec(kappa=1e-5, alpha=7.0, variants=(Variant.RZALMS,)))
-    assert (rza.rho, rza.epsilon) == (1e-5, 7.0)
-    l0 = _scalar_params(small_spec(kappa=1e-5, alpha=7.0))
-    assert (l0.kappa, l0.alpha) == (1e-5, 7.0)
+    """Every variant reads the spec's (kappa, alpha) as they are."""
+    for variant in Variant:
+        p = _scalar_params(small_spec(kappa=1e-5, alpha=7.0,
+                                      variants=(variant,)))
+        assert (p.variant, p.mu, p.kappa, p.alpha) == (variant, 2e-3, 1e-5,
+                                                       7.0)
 
 
 # ---------------------------------------------------------------------------
-# run_trial
+# run_trials
 # ---------------------------------------------------------------------------
 
 
 def test_run_trial_deviation_indexing():
     spec = small_spec(iterations=3000)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    res = run_trial(sysm, spec, _scalar_params(spec), trial_index=0)
+    res, = run_trials(spec, _scalar_params(spec), [sysm])
     assert res.dev.shape == (spec.iterations + 1,)
     assert res.dev[0] == pytest.approx(sysm.norm_sq, rel=1e-12)
     assert not res.diverged
     # learning happened: tail is well below the start
     assert float(np.mean(res.dev[-20:])) < 0.05 * res.dev[0]
+    assert run_trials(spec, _scalar_params(spec), []) == []   # no systems
 
 
 def test_run_trial_zero_system_zero_noise_is_identically_zero():
@@ -194,17 +195,17 @@ def test_run_trial_zero_system_zero_noise_is_identically_zero():
                       snr_convention=SnrConvention.INPUT_REFERRED)
     object.__setattr__(spec, "Pv", 0.0)      # exact noise-free run
     sysm = gen_system(spec.L, 0, spec.seed)
-    res = run_trial(sysm, spec, _scalar_params(spec), trial_index=0)
+    res, = run_trials(spec, _scalar_params(spec), [sysm])
     assert np.all(res.dev == 0.0)
 
 
 def test_run_trial_bit_repeatable():
     spec = small_spec(kappa=1e-6)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    a = run_trial(sysm, spec, _scalar_params(spec), trial_index=2)
-    b = run_trial(sysm, spec, _scalar_params(spec), trial_index=2)
+    a, = run_trials(spec, _scalar_params(spec), [sysm], first=2)
+    b, = run_trials(spec, _scalar_params(spec), [sysm], first=2)
     assert np.array_equal(a.dev, b.dev)
-    c = run_trial(sysm, spec, _scalar_params(spec), trial_index=3)
+    c, = run_trials(spec, _scalar_params(spec), [sysm], first=3)
     assert not np.array_equal(a.dev, c.dev)
 
 
@@ -214,7 +215,7 @@ def test_run_trial_iid_regressors():
     spec = small_spec(iterations=50, input_model="iid")
     sysm = gen_system(spec.L, spec.Q, spec.seed)
     params = _scalar_params(spec)
-    res = run_trial(sysm, spec, params, trial_index=1)
+    res, = run_trials(spec, params, [sysm], first=1)
 
     X = stream(spec.seed, 1, INPUT_ROLE).standard_normal((50, spec.L))
     v = stream(spec.seed, 1, NOISE_ROLE).standard_normal(50) \
@@ -226,15 +227,15 @@ def test_run_trial_iid_regressors():
         dev.append(float((w - sysm.s) @ (w - sysm.s)))
     np.testing.assert_allclose(res.dev, dev, rtol=1e-12)
 
-    line = run_trial(sysm, replace(spec, input_model="delay_line"), params,
-                     trial_index=1)
+    line, = run_trials(replace(spec, input_model="delay_line"), params,
+                       [sysm], first=1)
     assert not np.array_equal(res.dev, line.dev)
 
 
 def test_run_trial_divergence_truncates():
     spec = small_spec(mu=1.2 * mu_max(32, 1.0), iterations=4000, Pv=1e-2)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    res = run_trial(sysm, spec, _scalar_params(spec), trial_index=0)
+    res, = run_trials(spec, _scalar_params(spec), [sysm])
     assert res.diverged
     assert res.diverged_at is not None
     assert res.dev.shape == (res.diverged_at + 1,)   # ends at the offending entry
@@ -244,8 +245,8 @@ def test_run_trial_divergence_truncates():
 def test_run_trial_weight_average_window():
     spec = small_spec(iterations=5000)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    res = run_trial(sysm, spec, _scalar_params(spec), trial_index=0,
-                    record_weights_from=3000)
+    res, = run_trials(spec, _scalar_params(spec), [sysm],
+                      record_weights_from=3000)
     assert res.wbar is not None and res.wbar.shape == (spec.L,)
     # the time average over the settled tail approximates the system
     assert float(np.linalg.norm(res.wbar - sysm.s) ** 2) < 0.02 * sysm.norm_sq
@@ -283,27 +284,32 @@ def _reference_trial(system, spec, params, trial_index, record_from):
        L=st.integers(1, 24), q_frac=st.floats(0.0, 1.0),
        mu_frac=st.floats(0.01, 0.5), kappa=st.floats(0.0, 1e-3),
        alpha=st.floats(1.0, 20.0), seed=st.integers(0, 2**32),
-       block=st.integers(1, 64), record_frac=st.floats(0.0, 1.0))
+       block=st.integers(1, 64), record_frac=st.floats(0.0, 1.0),
+       rows=st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
                                      mu_frac, kappa, alpha, seed, block,
-                                     record_frac):
+                                     record_frac, rows):
     """The engine against the single-step reference, for every variant,
-    input model and stream block size (the block must not change the
-    draws): the same arithmetic, so the same bits."""
+    input model, stream block size (the block must not change the draws)
+    and number of rows run together: the same arithmetic, so the same
+    bits in every row."""
     spec = ExperimentSpec(L=L, Q=int(q_frac * L), mu=mu_frac * mu_max(L, 1.0),
-                          alpha=alpha, kappa=kappa, Pv=1e-3, trials=1,
+                          alpha=alpha, kappa=kappa, Pv=1e-3, trials=rows,
                           iterations=150, seed=seed, variants=(variant,),
                           input_model=input_model)
     params = _scalar_params(spec)
-    sysm = gen_system(spec.L, spec.Q, seed)
+    systems = [gen_system(spec.L, spec.Q, seed, trial=t)
+               for t in range(2, 2 + rows)]
     record_from = 1 + int(record_frac * (spec.iterations - 1))
     with mock.patch.object(simulate, "_BLOCK", block):
-        got = run_trial(sysm, spec, params, trial_index=2,
-                        record_weights_from=record_from)
-    dev, wbar = _reference_trial(sysm, spec, params, 2, record_from)
-    np.testing.assert_array_equal(got.dev, dev)
-    np.testing.assert_array_equal(got.wbar, wbar)
+        got = run_trials(spec, params, systems, first=2,
+                         record_weights_from=record_from)
+    assert len(got) == rows
+    for t, (sysm, row) in enumerate(zip(systems, got), start=2):
+        dev, wbar = _reference_trial(sysm, spec, params, t, record_from)
+        np.testing.assert_array_equal(row.dev, dev)
+        np.testing.assert_array_equal(row.wbar, wbar)
 
 
 def test_engine_rows_diverge_independently():
@@ -314,7 +320,7 @@ def test_engine_rows_diverge_independently():
     params = _scalar_params(spec)
     systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
                for t in range(spec.trials)]
-    got = simulate._run_rows(spec, params, systems, 0)
+    got = run_trials(spec, params, systems)
     for t, (sysm, row) in enumerate(zip(systems, got)):
         dev, _ = _reference_trial(sysm, spec, params, t, spec.iterations + 1)
         np.testing.assert_array_equal(row.dev, dev)
@@ -335,7 +341,7 @@ def test_monte_carlo_single_trial_equals_run_trial():
     spec = small_spec(trials=1)
     traj = monte_carlo(spec)
     sysm = gen_system(spec.L, spec.Q, spec.seed, trial=0)
-    res = run_trial(sysm, spec, _scalar_params(spec), trial_index=0)
+    res, = run_trials(spec, _scalar_params(spec), [sysm])
     assert np.array_equal(traj.msd, res.dev)
 
 

@@ -209,11 +209,11 @@ def test_steady_bias_values_and_warning():
     with pytest.warns(RuntimeWarning, match="bias formula degrades"):
         steady_bias(s, strong, Px=1.0)
     with pytest.raises(ValueError, match="l0 variant"):
-        steady_bias(s, AlgoParams(variant=Variant.ZALMS, mu=1e-3, rho=1e-4), Px=1.0)
+        steady_bias(s, AlgoParams(variant=Variant.ZALMS, mu=1e-3, kappa=1e-4), Px=1.0)
 
 
 def test_variant_guard():
-    p = AlgoParams(variant=Variant.ZALMS, mu=8e-4, rho=1e-6)
+    p = AlgoParams(variant=Variant.ZALMS, mu=8e-4, kappa=1e-6)
     with pytest.raises(ValueError, match="l0 variant"):
         l0_steady_msd((100, 10, strengths(10.0, Q=10)), p, SignalModel(Px=1.0, Pv=0.01))
 

@@ -27,6 +27,7 @@ from sparselms import (
     lms_theory,
     mu_max,
     small_tap_mean_curve,
+    steady_bias,
     strengths,
     tapwise_recursion,
 )
@@ -353,13 +354,44 @@ def test_tapwise_recursion_validation():
         tapwise_recursion(system, p, sig, -1)
     with pytest.raises(ValueError, match="l0 variant"):
         tapwise_recursion(system, AlgoParams(variant=Variant.ZALMS, mu=2e-3,
-                                             rho=1e-6), sig, 10)
+                                             kappa=1e-6), sig, 10)
     with pytest.raises(ValueError, match="kappa only"):
         tapwise_recursion(system, [p, AlgoParams(variant=Variant.L0LMS,
                                                  mu=1e-3, alpha=10.0)],
                           sig, 10)
     with pytest.raises(TypeError):
         tapwise_recursion([], p, sig, 10)
+
+
+_SIG = SignalModel(Px=1.0, Pv=1e-4)
+ENTRY_POINTS = {
+    "l0_steady_msd": lambda x, p: l0_steady_msd(x, p, _SIG),
+    "convergence_model": lambda x, p: convergence_model(x, p, _SIG),
+    "exact_recursion": lambda x, p: exact_recursion(x, p, _SIG, 200),
+    "tapwise_recursion": lambda x, p: tapwise_recursion(x, p, _SIG, 200),
+    "steady_bias": lambda x, p: steady_bias(x.s, p, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_variant_rule_is_shared(name):
+    """Every entry point that reads an AlgoParams applies one variant rule:
+    plain LMS is the l0 variant at kappa = 0 whatever its own kappa, bit
+    for bit, and ZA/RZA, which have no l0 model, raise."""
+    run = ENTRY_POINTS[name]
+    system = gen_system(32, 4, seed=1)
+    lms = run(system, AlgoParams(variant=Variant.LMS, mu=2e-3, kappa=3e-6,
+                                 alpha=10.0))
+    l0 = run(system, AlgoParams(variant=Variant.L0LMS, mu=2e-3, kappa=0.0,
+                                alpha=10.0))
+    if isinstance(l0, np.ndarray):
+        np.testing.assert_array_equal(lms, l0)
+    else:
+        assert lms == l0
+    for variant in (Variant.ZALMS, Variant.RZALMS):
+        with pytest.raises(ValueError, match="l0 variant and plain LMS"):
+            run(system, AlgoParams(variant=variant, mu=2e-3, kappa=3e-6,
+                                   alpha=10.0))
 
 
 def test_package_import_stays_numpy_only():
