@@ -7,8 +7,7 @@ preset experiments behind a CLI.
 
 __version__ = "0.1.0"
 
-from .kernels import (AlgoParams, FilterState, SparseSystem, Variant,
-                      attractor, step)
+from .kernels import AlgoParams, SparseSystem, Variant, step
 from .theory import (AccelerationReport, ApproxMode, AttractionStrengths,
                      BetaSet, ConsistencyError, ConvergenceModel,
                      DegenerateSpectrumError, DeltaSet, EtaSet,
@@ -20,15 +19,14 @@ from .theory import (AccelerationReport, ApproxMode, AttractionStrengths,
                      optimal_kappa, small_tap_mean_curve, solve_omega, steady_bias,
                      strengths, tapwise_recursion, za_steady_msd)
 from .simulate import (ExperimentSpec, NotConvergedError, Trajectory,
-                       TrialResult, closed_form, default_iterations,
-                       estimate_steady, gen_system, monte_carlo, noise_power,
-                       resolve_kappa, run_trials, stream)
+                       closed_form, default_iterations, estimate_steady,
+                       gen_system, monte_carlo, noise_power, resolve_kappa,
+                       run_trials, stream)
 
 __all__ = [
     "__version__",
     # kernels
-    "AlgoParams", "FilterState", "SparseSystem", "Variant", "attractor",
-    "step",
+    "AlgoParams", "SparseSystem", "Variant", "step",
     # theory
     "AccelerationReport", "ApproxMode", "AttractionStrengths", "BetaSet",
     "ConsistencyError", "ConvergenceModel", "DegenerateSpectrumError",
@@ -40,7 +38,7 @@ __all__ = [
     "optimal_kappa", "small_tap_mean_curve", "solve_omega", "steady_bias",
     "strengths", "tapwise_recursion", "za_steady_msd",
     # simulation
-    "ExperimentSpec", "NotConvergedError", "Trajectory", "TrialResult",
-    "closed_form", "default_iterations", "estimate_steady", "gen_system",
-    "monte_carlo", "noise_power", "resolve_kappa", "run_trials", "stream",
+    "ExperimentSpec", "NotConvergedError", "Trajectory", "closed_form",
+    "default_iterations", "estimate_steady", "gen_system", "monte_carlo",
+    "noise_power", "resolve_kappa", "run_trials", "stream",
 ]

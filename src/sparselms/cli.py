@@ -38,7 +38,8 @@ import numpy as np
 from . import __version__, theory
 from .kernels import Variant
 from .simulate import (ExperimentSpec, closed_form, default_iterations,
-                       monte_carlo, noise_power, resolve_kappa)
+                       monte_carlo, noise_power, require_memory,
+                       resolve_kappa)
 
 ENV_OUTDIR = "SPARSELMS_OUTDIR"
 DEFAULT_SEED = 1
@@ -343,6 +344,7 @@ class _Run:
         if spec.iterations is None:
             spec = replace(spec, iterations=default_iterations(
                 spec.L, spec.Q, spec.mu, spec.Px))
+        require_memory(spec, spec.trials if self.want_sim else 1)
         n = np.arange(spec.iterations + 1)
         cols = {}
         if self.want_theory:

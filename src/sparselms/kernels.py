@@ -58,23 +58,6 @@ class AlgoParams:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
 
-@dataclass
-class FilterState:
-    """Adaptive tap-weights plus the iteration counter.
-
-    The weight vector length is fixed for the lifetime of the state and
-    starts at all zeros (so the squared deviation at n=0 equals the
-    squared norm of the unknown system).
-    """
-
-    w: np.ndarray
-    n: int = 0
-
-    @classmethod
-    def zeros(cls, L: int) -> "FilterState":
-        return cls(w=np.zeros(L), n=0)
-
-
 @dataclass(frozen=True)
 class SparseSystem:
     """The unknown impulse response: length L with exactly Q non-zeros."""
@@ -116,7 +99,7 @@ def _attract_l0(t: np.ndarray, alpha: float) -> np.ndarray:
 
 
 # variant -> its raw attractor g(t, alpha); plain LMS has none.
-# attractor(), step() and the Monte Carlo engine all read this one table.
+# step() and the Monte Carlo engine both read this one table.
 ATTRACTORS = {
     Variant.L0LMS: _attract_l0,
     Variant.ZALMS: lambda t, alpha: -np.sign(t),
@@ -124,25 +107,7 @@ ATTRACTORS = {
 }
 
 
-def attractor(variant, t, params: AlgoParams):
-    """Evaluate the zero-point attractor g(t) for one tap value (or an
-    array of tap values).
-
-    Returns the raw attractor output, not yet weighted by kappa.
-
-    Raises
-    ------
-    ValueError
-        For ``variant = LMS`` (plain LMS has no attractor).
-    """
-    g = ATTRACTORS.get(Variant(variant))
-    if g is None:
-        raise ValueError("no attractor for plain LMS")
-    out = g(np.asarray(t, dtype=float), params.alpha)
-    return out if out.ndim else float(out)
-
-
-def step(state: FilterState, x, d: float, params: AlgoParams):
+def step(w, x, d: float, params: AlgoParams):
     """One adaptive-filter iteration.
 
     Computes the a-priori error ``e = d - x @ w`` and applies
@@ -152,24 +117,25 @@ def step(state: FilterState, x, d: float, params: AlgoParams):
     where the attraction term is ``kappa * g(w, alpha)`` with the
     variant's attractor g, absent for LMS.  The attractor
     argument is the current (pre-gradient) weight vector.  Pure: returns
-    a new state, inputs untouched.
+    new weights, inputs untouched.
 
     Parameters
     ----------
-    state : FilterState
+    w : array
+        Current tap weights.
     x : array
-        Current regressor, most-recent-first, same length as ``state.w``.
+        Current regressor, most-recent-first, same length as ``w``.
     d : float
         Observed (noisy) output sample.
     params : AlgoParams
 
     Returns
     -------
-    (FilterState, float)
-        The updated state and the a-priori error e.
+    (ndarray, float)
+        The updated weights and the a-priori error e.
     """
     x = np.asarray(x, dtype=float)
-    w = state.w
+    w = np.asarray(w, dtype=float)
     if x.shape != w.shape:
         raise ValueError(f"dimension mismatch: x{x.shape} vs w{w.shape}")
     if not (np.isfinite(d) and np.all(np.isfinite(x))):
@@ -179,4 +145,4 @@ def step(state: FilterState, x, d: float, params: AlgoParams):
     g = ATTRACTORS.get(params.variant)
     if g is not None and params.kappa != 0.0:
         w_new += params.kappa * g(w, params.alpha)
-    return FilterState(w=w_new, n=state.n + 1), e
+    return w_new, e

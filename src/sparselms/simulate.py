@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -44,10 +45,10 @@ from .kernels import ATTRACTORS, AlgoParams, SparseSystem, Variant
 
 __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
-    "ExperimentSpec", "TrialResult", "Trajectory", "NotConvergedError",
-    "run_trials", "monte_carlo", "estimate_steady", "noise_power",
-    "closed_form", "default_iterations", "resolve_kappa", "DIVERGENCE_FACTOR",
-    "INPUT_MODELS",
+    "ExperimentSpec", "Trajectory", "NotConvergedError", "run_trials",
+    "monte_carlo", "estimate_steady", "noise_power", "closed_form",
+    "default_iterations", "require_memory", "resolve_kappa",
+    "DIVERGENCE_FACTOR", "INPUT_MODELS",
 ]
 
 SYSTEM_ROLE = 0
@@ -64,9 +65,13 @@ _MASK48 = (1 << 48) - 1
 
 
 def _finite_number(v) -> bool:
-    """A finite real number; booleans do not count as numbers."""
-    return (not isinstance(v, bool) and isinstance(v, numbers.Real)
-            and (isinstance(v, numbers.Integral) or math.isfinite(v)))
+    """A finite real number (an integer too large for a float is not);
+    booleans do not count as numbers."""
+    try:
+        return (not isinstance(v, bool) and isinstance(v, numbers.Real)
+                and math.isfinite(v))
+    except OverflowError:
+        return False
 
 
 class NotConvergedError(RuntimeError):
@@ -178,6 +183,8 @@ class ExperimentSpec:
         if isinstance(v, (str, Variant)):
             v = (v,)
         object.__setattr__(self, "variants", tuple(Variant(x) for x in v))
+        if not self.variants:
+            raise ValueError("variants must name at least one variant")
         object.__setattr__(self, "snr_convention",
                            theory.SnrConvention(self.snr_convention))
         if self.system_mode not in ("redraw", "fixed"):
@@ -275,42 +282,49 @@ def resolve_kappa(spec: ExperimentSpec) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialResult:
-    """One trial's squared-deviation series (entry n is ||w_n - s||^2;
-    length iterations+1 unless truncated by divergence)."""
-
-    dev: np.ndarray
-    diverged: bool
-    diverged_at: int | None
-    wbar: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Trial-averaged MSD series plus the run's summary statistics.
 
-    ``steady_estimate`` is the plain mean of the final ``steady_window``
-    entries (NaN when the run diverged); ``converged`` and ``slope``
-    report the decimal-log slope gate over that window.  If any trial
-    diverged, ``msd`` is truncated at the earliest divergence point and
-    ``diverged`` is set; ``n_diverged`` counts affected trials.
+    If any trial diverged, ``msd`` is truncated at the earliest divergence
+    point, ``n_diverged`` counts the diverged trials, and the steady
+    values are NaN and None.  Otherwise ``steady_estimate`` is the plain
+    mean of the final tenth of ``msd`` and ``trial_steady`` holds each
+    trial's mean over the same window.
     """
 
     msd: np.ndarray
     trials: int
-    seed: int
-    steady_estimate: float
-    steady_window: int
-    diverged: bool
     n_diverged: int
-    diverged_at: int | None
-    slope: float
-    converged: bool
+    steady_estimate: float
     trial_steady: np.ndarray | None = None
 
     @property
-    def all_diverged(self) -> bool:
-        return self.diverged and self.n_diverged == self.trials
+    def diverged(self) -> bool:
+        return self.n_diverged > 0
+
+    @property
+    def diverged_at(self) -> int | None:
+        """The earliest divergence point, the last entry of ``msd``."""
+        return self.msd.size - 1 if self.n_diverged else None
+
+
+def require_memory(spec: ExperimentSpec, rows: int) -> None:
+    """Refuse a run of ``rows`` series whose arrays cannot fit: each row
+    holds ``iterations + 1`` deviations and a few L-wide weight rows.
+    Raises ValueError naming the estimate when it exceeds physical
+    memory; without ``os.sysconf`` the check is skipped."""
+    n_iter = spec.iterations or default_iterations(spec.L, spec.Q, spec.mu,
+                                                   spec.Px)
+    need = 8 * rows * (n_iter + 1 + 6 * spec.L)
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"{rows} series of {n_iter} steps at L={spec.L} need about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+            "of physical memory")
 
 
 def _draw(rngs, n: int, scale: float) -> np.ndarray:
@@ -323,28 +337,35 @@ def _draw(rngs, n: int, scale: float) -> np.ndarray:
 
 
 def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
-               first: int = 0,
-               record_weights_from: int | None = None) -> list:
+               first: int = 0, record_weights_from: int | None = None):
     """The Monte Carlo engine: trials ``first, first+1, ...``, one per
     system, advance as the rows of one weight array for
-    ``spec.iterations`` steps; returns their TrialResults in trial order.
-    Every reduction stays within a row, so a row's bits do not depend on
-    the other rows.
+    ``spec.iterations`` steps.  Every reduction stays within a row, so a
+    row's bits do not depend on the other rows.
+
+    Returns ``(dev, diverged_at, wbar)``, one row per system in trial
+    order.  ``dev[i, n]`` is ||w_n - s||^2 of row i, so ``dev[:, 0]`` is
+    ||s||^2 (zero-initialized weights).  Divergence — ||w||^2 exceeding
+    1e6 * max(1, ||s||^2) — stops a row at the offending step, which
+    ``diverged_at`` records (0 where the row did not diverge); the row's
+    later entries are NaN.  With ``record_weights_from``, ``wbar`` holds
+    each row's time-averaged weights from that iteration on (a NaN row
+    where the window holds no step); without it, ``wbar`` is None.
 
     The delay-line window is warm-started (fully populated at n=0);
-    ``spec.input_model = "iid"`` draws every regressor afresh.  Entry 0
-    of each series is ||s||^2 (zero-initialized weights).  Divergence —
-    ||w||^2 exceeding 1e6 * max(1, ||s||^2) — truncates a row's series at
-    the offending entry and sets its flag.  ``record_weights_from`` adds
-    each row's time-averaged weights from that iteration on (``wbar``).
+    ``spec.input_model = "iid"`` draws every regressor afresh.
     """
-    if not systems:
-        return []
     rows, L = len(systems), spec.L
     n_iter = spec.iterations or default_iterations(L, spec.Q, params.mu,
                                                    spec.Px)
-    S = np.array([system.s for system in systems])
     dev = np.empty((rows, n_iter + 1))
+    diverged_at = np.zeros(rows, dtype=int)     # 0: did not diverge
+    record_from = (n_iter + 1 if record_weights_from is None
+                   else max(1, record_weights_from))
+    W, wsum = np.zeros((rows, L)), np.zeros((rows, L))
+    if not rows:
+        return dev, diverged_at, None if record_weights_from is None else W
+    S = np.array([system.s for system in systems])
     dev[:, 0] = [system.norm_sq for system in systems]
     limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev[:, 0])
     inputs, noises = (np.array([stream(spec.seed, t, role)
@@ -354,11 +375,7 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
     iid = spec.input_model == "iid"
     g = ATTRACTORS.get(params.variant)
     weight = params.kappa if g else 0.0
-    record_from = (n_iter + 1 if record_weights_from is None
-                   else max(1, record_weights_from))
 
-    W, wsum = np.zeros((rows, L)), np.zeros((rows, L))
-    diverged_at = np.zeros(rows, dtype=int)     # 0: did not diverge
     live = np.arange(rows)                      # rows still advancing
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
     block = max(1, _BLOCK // (rows * (L if iid else 1)))
@@ -387,27 +404,31 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
         bad = (np.vecdot(W, W) > limit) | ~np.isfinite(d2)
         if bad.any():
             diverged_at[live[bad]] = n
+            dev[live[bad], n + 1:] = np.nan
             keep = np.flatnonzero(~bad)
             live, W, S, limit, v, X, inputs, noises = (
                 a[keep] for a in (live, W, S, limit, v, X, inputs, noises))
             if not live.size:
                 break
 
-    counts = np.where(diverged_at, diverged_at, n_iter) - record_from + 1
-    return [TrialResult(dev=dev[i, :(at or n_iter) + 1], diverged=bool(at),
-                        diverged_at=int(at) or None,
-                        wbar=wsum[i] / counts[i] if counts[i] > 0 else None)
-            for i, at in enumerate(diverged_at)]
+    if record_weights_from is None:
+        return dev, diverged_at, None
+    counts = (np.where(diverged_at, diverged_at, n_iter)
+              - record_from + 1)[:, None]
+    return dev, diverged_at, np.where(
+        counts > 0, wsum / np.maximum(counts, 1), np.nan)
 
 
 def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
     """Average ``spec.trials`` independent trials at one parameter point.
 
     Requires a scalar spec (no sweeps, a numeric kappa, exactly one
-    variant) and ``workers >= 1``.  The trials are split into at most
-    ``workers`` contiguous shards, one process each when there is more
-    than one; the average runs in trial order either way, so the result
-    is bit-identical for a given (spec, seed) whatever ``workers`` is.
+    variant) and ``workers >= 1``; a run whose arrays cannot fit in
+    memory is refused before anything is drawn (:func:`require_memory`).
+    The trials are split into at most ``workers`` contiguous shards, one
+    process each when there is more than one; the average runs in trial
+    order either way, so the result is bit-identical for a given
+    (spec, seed) whatever ``workers`` is.
     """
     if not spec.is_scalar:
         raise ValueError(
@@ -415,6 +436,7 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
             "resolve kappa first")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    require_memory(spec, spec.trials)
     params = _scalar_params(spec)
     draws = range(spec.trials) if spec.system_mode == "redraw" else [0]
     systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t,
@@ -426,29 +448,22 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
     run = partial(run_trials, spec, params)
     if shards > 1:
         with ProcessPoolExecutor(max_workers=shards) as ex:
-            parts = ex.map(run, [systems[a:b] for a, b in
-                                 zip(edges, edges[1:])], edges[:-1])
-            results = [r for part in parts for r in part]
+            parts = list(ex.map(run, [systems[a:b] for a, b in
+                                      zip(edges, edges[1:])], edges[:-1]))
+        dev, diverged_at = (np.concatenate([p[i] for p in parts])
+                            for i in (0, 1))
     else:
-        results = run(systems, 0)
+        dev, diverged_at, _ = run(systems, 0)
 
-    n_div = sum(r.diverged for r in results)
-    keep = min(r.dev.size for r in results)
-    acc = np.zeros(keep)
-    for r in results:                     # fixed trial order
-        acc += r.dev[:keep]
-    msd = acc / spec.trials
+    n_div = int(np.count_nonzero(diverged_at))
+    keep = int(diverged_at[diverged_at > 0].min()) + 1 if n_div \
+        else dev.shape[1]
+    msd = dev[:, :keep].sum(axis=0) / spec.trials   # rows in trial order
     window = max(1, int(round(0.1 * msd.size)))
-    win = msd[-window:]
-    slope = math.nan if n_div else _log_slope(win)
     return Trajectory(
-        msd=msd, trials=spec.trials, seed=spec.seed,
-        steady_estimate=math.nan if n_div else float(np.mean(win)),
-        steady_window=window, diverged=n_div > 0, n_diverged=n_div,
-        diverged_at=keep - 1 if n_div else None, slope=slope,
-        converged=abs(slope) < SLOPE_THRESHOLD,
-        trial_steady=None if n_div else np.array(
-            [float(np.mean(r.dev[-window:])) for r in results]))
+        msd=msd, trials=spec.trials, n_diverged=n_div,
+        steady_estimate=math.nan if n_div else float(np.mean(msd[-window:])),
+        trial_steady=None if n_div else dev[:, -window:].mean(axis=1))
 
 
 SLOPE_THRESHOLD = 1e-5      # decimal-log MSD slope per iteration

@@ -93,8 +93,9 @@ class SignalModel:
     def __post_init__(self):
         object.__setattr__(self, "snr_convention",
                            SnrConvention(self.snr_convention))
-        if not (self.Px > 0 and self.Pv > 0):
-            raise ValueError("Px and Pv must be > 0")
+        if not (0 < self.Px < math.inf and 0 < self.Pv < math.inf):
+            raise ValueError(f"Px and Pv must be finite and > 0, got "
+                             f"Px={self.Px}, Pv={self.Pv}")
         if self.snr_db is not None and self.ref_power is not None:
             expect = self.ref_power * 10.0 ** (-self.snr_db / 10.0)
             if not math.isclose(self.Pv, expect, rel_tol=1e-9):
@@ -115,24 +116,29 @@ class SignalModel:
         ``Q * sigma_s^2``); it is undefined for an all-zero system.
         """
         convention = SnrConvention(convention)
-        if convention is SnrConvention.OUTPUT_REFERRED:
-            if s is not None:
-                s = np.asarray(s, dtype=float)
-                ref = Px * float(s @ s)
-            elif Q is not None:
-                ref = Px * Q * sigma_s ** 2
+        try:
+            if convention is SnrConvention.OUTPUT_REFERRED:
+                if s is not None:
+                    s = np.asarray(s, dtype=float)
+                    ref = Px * float(s @ s)
+                elif Q is not None:
+                    ref = Px * Q * sigma_s ** 2
+                else:
+                    raise ValueError("output-referred SNR needs s or Q to "
+                                     "fix signal power")
+                if Px > 0 and ref == 0:         # Px <= 0 fails below
+                    raise ValueError(
+                        "output-referred SNR is undefined for an all-zero "
+                        "system; give Pv explicitly or use the "
+                        "input-referred convention")
             else:
-                raise ValueError(
-                    "output-referred SNR needs s or Q to fix signal power")
-            if Px > 0 and ref == 0:         # Px <= 0 fails below
-                raise ValueError(
-                    "output-referred SNR is undefined for an all-zero "
-                    "system; give Pv explicitly or use the input-referred "
-                    "convention")
-        else:
-            ref = Px
-        return cls(Px=Px, Pv=ref * 10.0 ** (-snr_db / 10.0),
-                   snr_db=snr_db, snr_convention=convention, ref_power=ref)
+                ref = Px
+            Pv = ref * 10.0 ** (-snr_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"the noise power of snr_db={snr_db} overflows "
+                             f"at Px={Px}, sigma_s={sigma_s}") from None
+        return cls(Px=Px, Pv=Pv, snr_db=snr_db, snr_convention=convention,
+                   ref_power=ref)
 
 
 @dataclass(frozen=True)
@@ -377,6 +383,12 @@ def _require_stable(L, mu, Px):
             f"mu={mu} outside the stable range (0, {lim})")
 
 
+def _lms_steady(d: DeltaSet, L: int, mu: float, Pv: float) -> float:
+    """Plain-LMS steady MSD mu*Pv*L/delta_L, the reference every l0
+    steady form is measured against."""
+    return mu * Pv * L / d.delta_L
+
+
 def lms_theory(L: int, mu: float, Px: float, Pv: float, s=None,
                n=None):
     """Plain-LMS steady MSD, or the instantaneous MSD at iteration n.
@@ -387,7 +399,7 @@ def lms_theory(L: int, mu: float, Px: float, Pv: float, s=None,
     """
     _require_stable(L, mu, Px)
     d = deltas(L, 0, mu, Px)
-    d_inf = mu * Pv * L / d.delta_L
+    d_inf = _lms_steady(d, L, mu, Pv)
     if n is None:
         return d_inf
     if s is None:
@@ -555,7 +567,7 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
     Px, Pv = signal.Px, signal.Pv
     d = deltas(L, Q, mu, Px)
     b = betas(d, st, L, Q, mu, alpha, Px, Pv)
-    d_lms = mu * Pv * L / d.delta_L
+    d_lms = _lms_steady(d, L, mu, Pv)
     d_inf = _d_inf_beta(b, d_lms, kappa)
 
     # independent route: power balance in the zero-tap deviation scale
@@ -583,7 +595,7 @@ def optimal_kappa(b: BetaSet, d: DeltaSet, L: int, mu: float,
     degenerate case (no small coefficients and fully dense, beta2 = 0 or
     beta1 <= beta2) the optimum collapses to plain LMS: (0, d_lms, 0).
     """
-    d_lms = mu * Pv * L / d.delta_L
+    d_lms = _lms_steady(d, L, mu, Pv)
     if b.beta2 == 0.0 or b.diff <= 0.0:
         return 0.0, d_lms, 0.0
     # kappa_opt = sqrt(beta3)/2 * (r^(1/4) - r^(-1/4)), r = summ/diff,
@@ -611,7 +623,7 @@ def approx_min_msd(mode, L: int, Q: int, params: AlgoParams,
     _require_stable(L, mu, Px)
     d = deltas(L, Q, mu, Px)
     DL, DQ, D0, D0p = d.as_tuple()
-    d_lms = mu * Pv * L / DL
+    d_lms = _lms_steady(d, L, mu, Pv)
     if mode is ApproxMode.Q0:
         if Q != 0:
             raise ValueError(f"Q0 mode requires Q = 0, got Q={Q}")

@@ -10,9 +10,12 @@ import csv
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselms import (
     AlgoParams,
@@ -23,7 +26,7 @@ from sparselms import (
     strengths,
 )
 from sparselms import cli
-from sparselms.cli import RunManifest, load_config, main
+from sparselms.cli import CliError, RunManifest, load_config, main
 from sparselms.simulate import ExperimentSpec, noise_power, resolve_kappa
 
 
@@ -488,6 +491,88 @@ def test_load_config_returns_spec(tmp_path):
     assert isinstance(spec, ExperimentSpec)
     assert spec.variants == (Variant.L0LMS,)
     assert spec.kappa == 1e-6
+
+
+@pytest.mark.parametrize("mode", ["simulate", "theory"])
+@pytest.mark.parametrize("fields", [
+    dict(iterations=1e13),                       # a curve longer than memory
+    dict(trials=1e15),                           # more trials than memory
+    dict(trials=1e15, kappa=[0.0, 1e-6])],       # ... at each sweep point
+    ids=["long_curve", "many_trials", "many_trials_sweep"])
+def test_runs_that_cannot_fit_exit_1(tmp_path, capsys, mode, fields):
+    """A run whose arrays exceed physical memory is refused up front,
+    before any array is allocated or any system drawn.  Theory mode
+    draws no trials, so only the long curve is refused there."""
+    cfg = write_config(tmp_path / "huge.json", **{**TINY, "kappa": 0.0,
+                                                  **fields})
+    t0 = time.perf_counter()
+    rc = main([mode, "--config", cfg, "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    if mode == "theory" and "iterations" not in fields:
+        assert rc == 0
+        return
+    assert rc == 1
+    assert err.startswith("error: ") and "GiB" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_defects_exit_1(tmp_path, capsys):
+    """An empty variant list and a noise power that overflows a float
+    are validation errors, not an empty run or a traceback."""
+    cfg = write_config(tmp_path / "none.json", **{**TINY, "variants": []})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "variants must name at least one variant" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "loud.json", **{**TINY, "kappa": 0.0,
+                                                  "sigma_s": 1e200})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*manifest*"))
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_COUNTS = st.one_of(st.integers(-2, 40), st.integers(2**62, 2**66),
+                    st.floats(1e12, 1e300), st.just(10**400), _FLOATS)
+_POWERS = st.one_of(_FLOATS, st.sampled_from([1e-300, 1e-160, 1e200, 1e308]),
+                    st.integers(10**300, 10**310))
+_SWEEPABLE = st.one_of(_FLOATS, st.lists(_FLOATS, max_size=3), st.booleans(),
+                       st.just("OPTIMAL"), st.just(10**400))
+_NAMES = st.sampled_from(["LMS", "L0LMS", "ZALMS", "RZALMS", "lms", "", "X"])
+
+
+@given(fuzz=st.fixed_dictionaries({}, optional={
+    "L": _COUNTS, "Q": _COUNTS, "mu": _SWEEPABLE, "alpha": _SWEEPABLE,
+    "kappa": _SWEEPABLE, "snr_db": st.one_of(_FLOATS,
+                                             st.integers(-10**4, 10**4)),
+    "Pv": st.one_of(_POWERS, st.none()), "Px": _POWERS, "sigma_s": _POWERS,
+    "trials": _COUNTS, "iterations": st.one_of(_COUNTS, st.none()),
+    "seed": st.integers(-1, 2**66),
+    "variants": st.one_of(st.lists(_NAMES, max_size=3), _NAMES,
+                          st.sampled_from([3, None, {}])),
+    "snr_convention": st.sampled_from(["INPUT_REFERRED", "OUTPUT_REFERRED",
+                                       "x"]),
+    "system_mode": st.sampled_from(["redraw", "fixed", "x"]),
+    "input_model": st.sampled_from(["iid", "delay_line", "x"])}))
+@settings(max_examples=300, deadline=None)
+def test_config_ingestion_fuzz(tmp_path_factory, fuzz):
+    """Any JSON config, here a valid one with some fields replaced,
+    either loads as a spec or is a validation error (exit code 1); an
+    accepted spec's noise power is finite and >= 0 or a ValueError."""
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    path.write_text(json.dumps({**TINY, **fuzz}))
+    try:
+        spec = load_config(path)
+    except CliError as e:
+        assert e.code == 1
+        return
+    assert isinstance(spec, ExperimentSpec)
+    try:
+        pv = noise_power(spec)
+    except ValueError:
+        return
+    assert math.isfinite(pv) and pv >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselms import AlgoParams, FilterState, SparseSystem, Variant, attractor, step
+from sparselms import AlgoParams, SparseSystem, Variant, step
+from sparselms.kernels import ATTRACTORS
 
 
 def l0(mu=1e-3, kappa=1e-4, alpha=10.0) -> AlgoParams:
@@ -17,77 +18,75 @@ def l0(mu=1e-3, kappa=1e-4, alpha=10.0) -> AlgoParams:
 
 
 # ---------------------------------------------------------------------------
-# attractor
+# attractors: ATTRACTORS[variant](t, alpha)
 # ---------------------------------------------------------------------------
+
+G0, GZA, GRZA = (ATTRACTORS[v] for v in (Variant.L0LMS, Variant.ZALMS,
+                                         Variant.RZALMS))
 
 
 def test_attractor_l0_at_zero_is_zero():
-    assert attractor(Variant.L0LMS, 0.0, l0()) == 0.0
+    assert G0(0.0, 10.0) == 0.0
 
 
 def test_attractor_l0_inside_range():
     # 2*alpha^2*t - 2*alpha*sgn(t) at t=0.05, alpha=10
-    assert attractor(Variant.L0LMS, 0.05, l0()) == pytest.approx(-10.0)
+    assert G0(0.05, 10.0) == pytest.approx(-10.0)
 
 
 def test_attractor_l0_outside_range_is_zero():
-    assert attractor(Variant.L0LMS, 0.2, l0()) == 0.0
+    assert G0(0.2, 10.0) == 0.0
 
 
 def test_attractor_l0_continuous_at_range_boundary():
     # the linear branch applies at |t| = 1/alpha and evaluates to exactly 0
-    assert attractor(Variant.L0LMS, 0.1, l0()) == 0.0
-    assert attractor(Variant.L0LMS, -0.1, l0()) == 0.0
+    assert G0(0.1, 10.0) == 0.0
+    assert G0(-0.1, 10.0) == 0.0
     t = 0.1 - 1e-9
-    assert abs(attractor(Variant.L0LMS, t, l0())) < 1e-6
+    assert abs(G0(t, 10.0)) < 1e-6
 
 
 def test_attractor_za_is_negated_sign():
-    p = AlgoParams(variant=Variant.ZALMS, mu=1e-3, kappa=1e-4)
-    assert attractor(Variant.ZALMS, -3.7, p) == 1.0
-    assert attractor(Variant.ZALMS, 3.7, p) == -1.0
-    assert attractor(Variant.ZALMS, 0.0, p) == 0.0
+    assert GZA(-3.7, 1.0) == 1.0
+    assert GZA(3.7, 1.0) == -1.0
+    assert GZA(0.0, 1.0) == 0.0
 
 
 def test_attractor_rza_shrinks_with_magnitude():
-    p = AlgoParams(variant=Variant.RZALMS, mu=1e-3, kappa=1e-4, alpha=10.0)
-    assert attractor(Variant.RZALMS, 0.1, p) == pytest.approx(-0.5)
+    assert GRZA(0.1, 10.0) == pytest.approx(-0.5)
 
 
 def test_attractor_rejects_plain_lms():
-    p = AlgoParams(variant=Variant.LMS, mu=1e-3)
-    with pytest.raises(ValueError, match="no attractor for plain LMS"):
-        attractor(Variant.LMS, 0.1, p)
+    # plain LMS has no attractor: the table has no entry for it
+    assert Variant.LMS not in ATTRACTORS
+    assert set(ATTRACTORS) == set(Variant) - {Variant.LMS}
 
 
 def test_attractor_vectorized():
     t = np.array([0.0, 0.05, 0.2, -0.05])
-    out = attractor(Variant.L0LMS, t, l0())
+    out = G0(t, 10.0)
     assert np.allclose(out, [0.0, -10.0, 0.0, 10.0])
 
 
 @given(t=st.floats(-1e3, 1e3), alpha=st.floats(1e-3, 1e3))
 def test_attractor_l0_odd_and_finite(t, alpha):
-    p = l0(alpha=alpha)
-    g_pos = attractor(Variant.L0LMS, t, p)
-    g_neg = attractor(Variant.L0LMS, -t, p)
+    g_pos = G0(t, alpha)
+    g_neg = G0(-t, alpha)
     assert np.isfinite(g_pos)
     assert g_neg == -g_pos
 
 
 @given(t=st.floats(-1e3, 1e3))
 def test_attractor_za_rza_odd(t):
-    pz = AlgoParams(variant=Variant.ZALMS, mu=1e-3, kappa=1e-4)
-    pr = AlgoParams(variant=Variant.RZALMS, mu=1e-3, kappa=1e-4, alpha=3.0)
-    for variant, p in ((Variant.ZALMS, pz), (Variant.RZALMS, pr)):
-        g = attractor(variant, t, p)
+    for g_of in (GZA, GRZA):
+        g = g_of(t, 3.0)
         assert np.isfinite(g)
-        assert attractor(variant, -t, p) == -g
+        assert g_of(-t, 3.0) == -g
 
 
 @given(t=st.floats(-1e3, 1e3), alpha=st.floats(1e-3, 1e3))
 def test_attractor_l0_attracts_toward_origin(t, alpha):
-    g = attractor(Variant.L0LMS, t, l0(alpha=alpha))
+    g = G0(t, alpha)
     if abs(t) <= 1.0 / alpha:
         assert g * t <= 0.0
     else:
@@ -100,40 +99,37 @@ def test_attractor_l0_attracts_toward_origin(t, alpha):
 
 
 def test_step_zero_regressor_no_attractor():
-    state = FilterState.zeros(3)
     p = AlgoParams(variant=Variant.LMS, mu=1e-3)
-    new, e = step(state, np.zeros(3), 1.0, p)
+    new, e = step(np.zeros(3), np.zeros(3), 1.0, p)
     assert e == 1.0
-    assert np.all(new.w == 0.0)
-    assert new.n == 1
+    assert np.all(new == 0.0)
 
 
 def test_step_attractor_only_update():
     # zero regressor isolates the attraction term: w' = w + kappa * g(w)
-    state = FilterState(w=np.array([0.05]))
-    new, e = step(state, np.array([0.0]), 0.0, l0(mu=1e-3, kappa=1e-4, alpha=10.0))
+    new, e = step(np.array([0.05]), np.array([0.0]), 0.0, l0(mu=1e-3, kappa=1e-4, alpha=10.0))
     assert e == 0.0
-    assert new.w[0] == pytest.approx(0.049, abs=1e-15)
+    assert new[0] == pytest.approx(0.049, abs=1e-15)
 
 
 def test_step_is_pure():
     w0 = np.array([0.3, -0.2])
-    state = FilterState(w=w0.copy())
-    step(state, np.array([1.0, 2.0]), 0.5, l0())
-    assert np.array_equal(state.w, w0)
-    assert state.n == 0
+    w = w0.copy()
+    new, _ = step(w, np.array([1.0, 2.0]), 0.5, l0())
+    assert np.array_equal(w, w0)
+    assert new is not w
 
 
 def test_step_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        step(FilterState.zeros(3), np.zeros(4), 0.0, l0())
+        step(np.zeros(3), np.zeros(4), 0.0, l0())
 
 
 def test_step_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
-        step(FilterState.zeros(2), np.array([1.0, np.nan]), 0.0, l0())
+        step(np.zeros(2), np.array([1.0, np.nan]), 0.0, l0())
     with pytest.raises(ValueError, match="non-finite"):
-        step(FilterState.zeros(2), np.ones(2), np.inf, l0())
+        step(np.zeros(2), np.ones(2), np.inf, l0())
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -146,15 +142,15 @@ def test_step_zero_weight_variants_match_lms(seed):
     d = float(rng.standard_normal())
     mu = float(rng.uniform(1e-4, 1e-2))
 
-    ref, e_ref = step(FilterState(w=w.copy()), x, d, AlgoParams(variant=Variant.LMS, mu=mu))
+    ref, e_ref = step(w.copy(), x, d, AlgoParams(variant=Variant.LMS, mu=mu))
     for p in (
         AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=0.0, alpha=10.0),
         AlgoParams(variant=Variant.ZALMS, mu=mu, kappa=0.0),
         AlgoParams(variant=Variant.RZALMS, mu=mu, kappa=0.0, alpha=10.0),
     ):
-        got, e_got = step(FilterState(w=w.copy()), x, d, p)
+        got, e_got = step(w.copy(), x, d, p)
         assert e_got == e_ref
-        assert np.array_equal(got.w, ref.w)
+        assert np.array_equal(got, ref)
 
 
 def test_step_l0_approaches_za_as_alpha_vanishes():
@@ -166,12 +162,12 @@ def test_step_l0_approaches_za_as_alpha_vanishes():
     d = float(rng.standard_normal())
     mu, rho = 1e-3, 1e-4
 
-    za, _ = step(FilterState(w=w.copy()), x, d, AlgoParams(variant=Variant.ZALMS, mu=mu, kappa=rho))
+    za, _ = step(w.copy(), x, d, AlgoParams(variant=Variant.ZALMS, mu=mu, kappa=rho))
     gaps = []
     for alpha in (1e-3, 1e-4, 1e-5):
         p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=rho / (2 * alpha), alpha=alpha)
-        got, _ = step(FilterState(w=w.copy()), x, d, p)
-        gaps.append(float(np.max(np.abs(got.w - za.w))))
+        got, _ = step(w.copy(), x, d, p)
+        gaps.append(float(np.max(np.abs(got - za))))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-8
 
@@ -185,12 +181,12 @@ def test_step_uses_pre_update_weights_in_attractor():
     d = 1.0
     e = d - 2.0 * 0.05
     expected = 0.05 + mu * e * 2.0 + kappa * (2 * alpha**2 * 0.05 - 2 * alpha)
-    new, _ = step(FilterState(w=w), x, d, l0(mu=mu, kappa=kappa, alpha=alpha))
-    assert new.w[0] == pytest.approx(expected, rel=1e-15)
+    new, _ = step(w, x, d, l0(mu=mu, kappa=kappa, alpha=alpha))
+    assert new[0] == pytest.approx(expected, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# params / state / system containers
+# params / system containers
 # ---------------------------------------------------------------------------
 
 
@@ -207,13 +203,6 @@ def test_algoparams_validation():
     # one vocabulary for every variant: the weight and the shape
     assert [f.name for f in fields(AlgoParams)] == ["variant", "mu", "kappa",
                                                     "alpha"]
-
-
-def test_filterstate_zeros():
-    st0 = FilterState.zeros(7)
-    assert st0.n == 0
-    assert st0.w.shape == (7,)
-    assert np.all(st0.w == 0.0)
 
 
 def test_sparsesystem_counts_nonzeros():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from sparselms import (
     ExperimentSpec,
-    FilterState,
     NotConvergedError,
     SnrConvention,
     Variant,
@@ -181,13 +180,16 @@ def test_scalar_params_variant_wiring():
 def test_run_trial_deviation_indexing():
     spec = small_spec(iterations=3000)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    res, = run_trials(spec, _scalar_params(spec), [sysm])
-    assert res.dev.shape == (spec.iterations + 1,)
-    assert res.dev[0] == pytest.approx(sysm.norm_sq, rel=1e-12)
-    assert not res.diverged
+    dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec), [sysm])
+    assert dev.shape == (1, spec.iterations + 1)
+    assert dev[0, 0] == pytest.approx(sysm.norm_sq, rel=1e-12)
+    assert diverged_at.tolist() == [0] and wbar is None
     # learning happened: tail is well below the start
-    assert float(np.mean(res.dev[-20:])) < 0.05 * res.dev[0]
-    assert run_trials(spec, _scalar_params(spec), []) == []   # no systems
+    assert float(np.mean(dev[0, -20:])) < 0.05 * dev[0, 0]
+    dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec), [],
+                                        record_weights_from=10)
+    assert (dev.shape, diverged_at.shape, wbar.shape) == (
+        (0, spec.iterations + 1), (0,), (0, spec.L))          # no systems
 
 
 def test_run_trial_zero_system_zero_noise_is_identically_zero():
@@ -195,18 +197,18 @@ def test_run_trial_zero_system_zero_noise_is_identically_zero():
                       snr_convention=SnrConvention.INPUT_REFERRED)
     object.__setattr__(spec, "Pv", 0.0)      # exact noise-free run
     sysm = gen_system(spec.L, 0, spec.seed)
-    res, = run_trials(spec, _scalar_params(spec), [sysm])
-    assert np.all(res.dev == 0.0)
+    dev, _, _ = run_trials(spec, _scalar_params(spec), [sysm])
+    assert np.all(dev == 0.0)
 
 
 def test_run_trial_bit_repeatable():
     spec = small_spec(kappa=1e-6)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    a, = run_trials(spec, _scalar_params(spec), [sysm], first=2)
-    b, = run_trials(spec, _scalar_params(spec), [sysm], first=2)
-    assert np.array_equal(a.dev, b.dev)
-    c, = run_trials(spec, _scalar_params(spec), [sysm], first=3)
-    assert not np.array_equal(a.dev, c.dev)
+    a, _, _ = run_trials(spec, _scalar_params(spec), [sysm], first=2)
+    b, _, _ = run_trials(spec, _scalar_params(spec), [sysm], first=2)
+    assert np.array_equal(a, b)
+    c, _, _ = run_trials(spec, _scalar_params(spec), [sysm], first=3)
+    assert not np.array_equal(a, c)
 
 
 def test_run_trial_iid_regressors():
@@ -215,7 +217,7 @@ def test_run_trial_iid_regressors():
     spec = small_spec(iterations=50, input_model="iid")
     sysm = gen_system(spec.L, spec.Q, spec.seed)
     params = _scalar_params(spec)
-    res, = run_trials(spec, params, [sysm], first=1)
+    (res,), _, _ = run_trials(spec, params, [sysm], first=1)
 
     X = stream(spec.seed, 1, INPUT_ROLE).standard_normal((50, spec.L))
     v = stream(spec.seed, 1, NOISE_ROLE).standard_normal(50) \
@@ -225,36 +227,39 @@ def test_run_trial_iid_regressors():
     for x, vn in zip(X, v):
         w = w + params.mu * (x @ sysm.s + vn - x @ w) * x
         dev.append(float((w - sysm.s) @ (w - sysm.s)))
-    np.testing.assert_allclose(res.dev, dev, rtol=1e-12)
+    np.testing.assert_allclose(res, dev, rtol=1e-12)
 
-    line, = run_trials(replace(spec, input_model="delay_line"), params,
-                       [sysm], first=1)
-    assert not np.array_equal(res.dev, line.dev)
+    (line,), _, _ = run_trials(replace(spec, input_model="delay_line"),
+                               params, [sysm], first=1)
+    assert not np.array_equal(res, line)
 
 
 def test_run_trial_divergence_truncates():
     spec = small_spec(mu=1.2 * mu_max(32, 1.0), iterations=4000, Pv=1e-2)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    res, = run_trials(spec, _scalar_params(spec), [sysm])
-    assert res.diverged
-    assert res.diverged_at is not None
-    assert res.dev.shape == (res.diverged_at + 1,)   # ends at the offending entry
-    assert res.dev[-1] > 1e3                          # ||w||^2 blew the limit
+    (dev,), (at,), _ = run_trials(spec, _scalar_params(spec), [sysm])
+    assert 0 < at < spec.iterations
+    assert dev.shape == (spec.iterations + 1,)
+    assert not np.isnan(dev[:at + 1]).any()      # valid to the offending entry
+    assert np.isnan(dev[at + 1:]).all()          # NaN after it
+    assert dev[at] > 1e3                         # ||w||^2 blew the limit
 
 
 def test_run_trial_weight_average_window():
     spec = small_spec(iterations=5000)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    res, = run_trials(spec, _scalar_params(spec), [sysm],
-                      record_weights_from=3000)
-    assert res.wbar is not None and res.wbar.shape == (spec.L,)
+    _, _, wbar = run_trials(spec, _scalar_params(spec), [sysm],
+                            record_weights_from=3000)
+    assert wbar.shape == (1, spec.L)
     # the time average over the settled tail approximates the system
-    assert float(np.linalg.norm(res.wbar - sysm.s) ** 2) < 0.02 * sysm.norm_sq
+    assert float(np.linalg.norm(wbar[0] - sysm.s) ** 2) < 0.02 * sysm.norm_sq
 
 
 def _reference_trial(system, spec, params, trial_index, record_from):
     """One trial by hand: one-shot stream draws and one ``kernels.step``
-    per iteration, stopping at the first divergent entry."""
+    per iteration, stopping at the first divergent entry.  Returns the
+    deviations up to that entry and the weight average (NaN when the
+    window holds no step)."""
     L, N = spec.L, spec.iterations
     rng = stream(spec.seed, trial_index, INPUT_ROLE)
     if spec.input_model == "iid":
@@ -265,18 +270,18 @@ def _reference_trial(system, spec, params, trial_index, record_from):
     v = stream(spec.seed, trial_index, NOISE_ROLE).standard_normal(N) \
         * math.sqrt(noise_power(spec))
     limit = DIVERGENCE_FACTOR * max(1.0, system.norm_sq)
-    state = FilterState.zeros(L)
+    w = np.zeros(L)
     dev, wsum, count = [system.norm_sq], np.zeros(L), 0
     for n in range(N):
-        state, _ = step(state, X[n], float(X[n] @ system.s + v[n]), params)
-        diff = state.w - system.s
+        w, _ = step(w, X[n], float(X[n] @ system.s + v[n]), params)
+        diff = w - system.s
         dev.append(float(diff @ diff))
         if n + 1 >= record_from:
-            wsum += state.w
+            wsum += w
             count += 1
-        if state.w @ state.w > limit or not math.isfinite(dev[-1]):
+        if w @ w > limit or not math.isfinite(dev[-1]):
             break
-    return np.array(dev), (wsum / count if count else None)
+    return np.array(dev), (wsum / count if count else np.full(L, np.nan))
 
 
 @given(variant=st.sampled_from(list(Variant)),
@@ -303,13 +308,16 @@ def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
                for t in range(2, 2 + rows)]
     record_from = 1 + int(record_frac * (spec.iterations - 1))
     with mock.patch.object(simulate, "_BLOCK", block):
-        got = run_trials(spec, params, systems, first=2,
-                         record_weights_from=record_from)
-    assert len(got) == rows
-    for t, (sysm, row) in enumerate(zip(systems, got), start=2):
+        got, got_at, got_wbar = run_trials(spec, params, systems, first=2,
+                                           record_weights_from=record_from)
+    assert got.shape == (rows, spec.iterations + 1)
+    for t, (sysm, row, at, row_wbar) in enumerate(
+            zip(systems, got, got_at, got_wbar), start=2):
         dev, wbar = _reference_trial(sysm, spec, params, t, record_from)
-        np.testing.assert_array_equal(row.dev, dev)
-        np.testing.assert_array_equal(row.wbar, wbar)
+        np.testing.assert_array_equal(row[:dev.size], dev)
+        assert np.isnan(row[dev.size:]).all()
+        assert dev.size == (at + 1 if at else spec.iterations + 1)
+        np.testing.assert_array_equal(row_wbar, wbar)
 
 
 def test_engine_rows_diverge_independently():
@@ -320,13 +328,13 @@ def test_engine_rows_diverge_independently():
     params = _scalar_params(spec)
     systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
                for t in range(spec.trials)]
-    got = run_trials(spec, params, systems)
-    for t, (sysm, row) in enumerate(zip(systems, got)):
+    got, got_at, _ = run_trials(spec, params, systems)
+    for t, (sysm, row, at) in enumerate(zip(systems, got, got_at)):
         dev, _ = _reference_trial(sysm, spec, params, t, spec.iterations + 1)
-        np.testing.assert_array_equal(row.dev, dev)
-        assert row.diverged == (dev.size < spec.iterations + 1)
-        assert row.diverged_at == (dev.size - 1 if row.diverged else None)
-    assert sum(r.diverged for r in got) == 3
+        np.testing.assert_array_equal(row[:dev.size], dev)
+        assert np.isnan(row[dev.size:]).all()
+        assert dev.size == (at + 1 if at else spec.iterations + 1)
+    assert np.count_nonzero(got_at) == 3
     traj = monte_carlo(spec)
     assert (traj.n_diverged, traj.diverged_at) == (3, 425)
     assert traj.msd.shape == (426,)
@@ -341,8 +349,8 @@ def test_monte_carlo_single_trial_equals_run_trial():
     spec = small_spec(trials=1)
     traj = monte_carlo(spec)
     sysm = gen_system(spec.L, spec.Q, spec.seed, trial=0)
-    res, = run_trials(spec, _scalar_params(spec), [sysm])
-    assert np.array_equal(traj.msd, res.dev)
+    dev, _, _ = run_trials(spec, _scalar_params(spec), [sysm])
+    assert np.array_equal(traj.msd, dev[0])
 
 
 @pytest.mark.parametrize("trials,workers", [(4, 2), (5, 3), (1, 2)])
@@ -381,9 +389,8 @@ def test_monte_carlo_divergence_reporting():
     spec = small_spec(mu=1.2 * mu_max(32, 1.0), iterations=4000,
                       Pv=1e-2, trials=3)
     traj = monte_carlo(spec)
-    assert traj.diverged and traj.n_diverged == 3 and traj.all_diverged
-    assert math.isnan(traj.steady_estimate)
-    assert not traj.converged
+    assert traj.diverged and traj.n_diverged == traj.trials == 3
+    assert math.isnan(traj.steady_estimate) and traj.trial_steady is None
     assert traj.msd.shape == (traj.diverged_at + 1,)
 
 
@@ -393,11 +400,10 @@ def test_monte_carlo_steady_fields():
     spec = ExperimentSpec(L=64, Q=8, mu=0.01, alpha=10.0, kappa=0.0,
                           Pv=1e-4, trials=10, iterations=20000, seed=1)
     traj = monte_carlo(spec)
-    assert traj.steady_window == 2000                # final 10% by default
-    assert traj.steady_estimate == pytest.approx(
-        float(np.mean(traj.msd[-2000:])), rel=1e-12)
+    # the final 10% by default
+    assert traj.steady_estimate == float(np.mean(traj.msd[-2000:]))
     assert traj.trial_steady is not None and traj.trial_steady.shape == (10,)
-    assert traj.converged
+    assert estimate_steady(traj, 2000) == traj.steady_estimate   # settled
     # per-trial means average to the ensemble mean of the same window
     assert float(np.mean(traj.trial_steady)) == pytest.approx(
         traj.steady_estimate, rel=1e-12)
@@ -410,9 +416,8 @@ def test_monte_carlo_steady_fields():
 
 def _fake_traj(msd):
     msd = np.asarray(msd, dtype=float)
-    return Trajectory(msd=msd, trials=1, seed=1, steady_estimate=float(msd[-1]),
-                      steady_window=1, diverged=False, n_diverged=0,
-                      diverged_at=None, slope=0.0, converged=True)
+    return Trajectory(msd=msd, trials=1, n_diverged=0,
+                      steady_estimate=float(msd[-1]))
 
 
 def test_estimate_steady_constant_series():
