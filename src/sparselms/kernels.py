@@ -89,21 +89,30 @@ class SparseSystem:
 # attractor functions
 # ---------------------------------------------------------------------------
 
-def _attract_l0(t: np.ndarray, alpha: float) -> np.ndarray:
+def _attract_l0(t, alpha: float, out=None):
     """Piecewise-linear zero-point attractor: 2*alpha^2*t - 2*alpha*sgn(t)
     inside |t| <= 1/alpha, zero outside.  sgn(0) = 0, and at the boundary
     |t| = 1/alpha the linear branch evaluates to 0, so the function is
-    continuous."""
-    inside = np.abs(t) <= 1.0 / alpha
-    return np.where(inside, 2.0 * alpha * alpha * t - 2.0 * alpha * np.sign(t), 0.0)
+    continuous.  Outside, t is replaced by 0 before the linear branch,
+    which gives exactly +0.0 there."""
+    t = np.where(np.abs(t) <= 1.0 / alpha, t, 0.0)
+    out = np.multiply(2.0 * alpha * alpha, t, out=out)
+    # not np.sign(t, out=t): in place it runs about 4x slower (numpy 2.4)
+    out -= np.multiply(2.0 * alpha, np.sign(t), out=t)
+    return out
 
 
-# variant -> its raw attractor g(t, alpha); plain LMS has none.
-# step() and the Monte Carlo engine both read this one table.
+# variant -> its raw attractor g(t, alpha, out=None); plain LMS has none.
+# Given ``out`` (not overlapping t), each writes g(t) there, so the Monte
+# Carlo engine evaluates it in place.  step() and the engine both read
+# this one table.
 ATTRACTORS = {
     Variant.L0LMS: _attract_l0,
-    Variant.ZALMS: lambda t, alpha: -np.sign(t),
-    Variant.RZALMS: lambda t, alpha: -np.sign(t) / (1.0 + alpha * np.abs(t)),
+    Variant.ZALMS: lambda t, alpha, out=None: np.negative(
+        np.sign(t, out=out), out=out),
+    Variant.RZALMS: lambda t, alpha, out=None: np.divide(
+        np.negative(np.sign(t, out=out), out=out), 1.0 + alpha * np.abs(t),
+        out=out),
 }
 
 

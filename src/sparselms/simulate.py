@@ -15,14 +15,34 @@ gives a bit-identical Trajectory across runs and worker counts.  The
 engine, :func:`run_trials`, reproduces the per-trial loop over
 ``kernels.step`` it replaced bit for bit.
 
+Each engine step runs only the row-wise arithmetic that depends on the
+weights, and every piece keeps the bits of the per-step form:
+
+- The desired outputs ``d = x.s + v`` of a whole stream block come from
+  one ``np.vecdot`` over the block's regressors.  Each element goes
+  through the dot loop a single regressor would: numpy's sequential
+  loop for the reversed, negatively strided delay-line window, BLAS for
+  a contiguous i.i.d. regressor.  The error then rounds as
+  ``(x.s + v) - x.w``, as in ``kernels.step``.
+- The update, the deviation and the attraction are written into
+  preallocated buffers; the attractor itself comes from
+  ``kernels.ATTRACTORS``, evaluated in place.
+- ||w||^2 <= 2||w - s||^2 + 2||s||^2, so while the deviations of a step
+  sum to at most limit / (2(1 + 1e-3)) - ||s||^2 (the least over the
+  rows), no row can have crossed its divergence limit.  The 1e-3 margin
+  exceeds the rounding of the dot products and of that sum, and a NaN
+  or inf sum fails the comparison, so the exact test runs at every step
+  that might diverge and flags the same step as before.
+
 The input model fixes how the input stream becomes regressors.
 ``"delay_line"`` (the default) slides a window over one white sequence,
 so consecutive regressors share L-1 samples.  ``"iid"`` fills each
 regressor with L fresh samples: regressor n holds stream draws
-[n*L, (n+1)*L).  Streams are drawn in blocks of about 2^14 samples,
-which bound memory and do not change the draws; a delay-line regressor
-is a reversed view of the block.  The i.i.d. model is the one the
-independence assumption of the theory describes.
+[n*L, (n+1)*L).  Streams are drawn in blocks of about 2^14 samples
+over all rows (at least one regressor each), the noise in blocks of its
+own; blocks bound memory and do not change the draws.  A delay-line
+regressor is a reversed view of its block.  The i.i.d. model is the one
+the independence assumption of the theory describes.
 
 Indexing convention: a trajectory entry ``msd[n]`` is the squared
 deviation of ``w_n``, with ``w_0 = 0``; an experiment with
@@ -39,6 +59,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import theory
 from .kernels import ATTRACTORS, AlgoParams, SparseSystem, Variant
@@ -309,13 +330,18 @@ class Trajectory:
 
 
 def require_memory(spec: ExperimentSpec, rows: int) -> None:
-    """Refuse a run of ``rows`` series whose arrays cannot fit: each row
-    holds ``iterations + 1`` deviations and a few L-wide weight rows.
-    Raises ValueError naming the estimate when it exceeds physical
-    memory; without ``os.sysconf`` the check is skipped."""
+    """Refuse a run of ``rows`` series whose arrays cannot fit.  Each row
+    holds ``iterations + 1`` deviations and ten L-wide rows: the weights,
+    their running sum, the system, the update, deviation and attraction
+    buffers, the attractor's two temporaries and two stream blocks (the
+    one in use and the next).  The per-block noise, desired outputs, new
+    samples and their copies add six arrays of at most
+    ``rows + 2^14`` doubles.  Raises ValueError naming the estimate when
+    it exceeds physical memory; without ``os.sysconf`` the check is
+    skipped."""
     n_iter = spec.iterations or default_iterations(spec.L, spec.Q, spec.mu,
                                                    spec.Px)
-    need = 8 * rows * (n_iter + 1 + 6 * spec.L)
+    need = 8 * (rows * (n_iter + 1 + 10 * spec.L) + 6 * (rows + _BLOCK))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -334,6 +360,13 @@ def _draw(rngs, n: int, scale: float) -> np.ndarray:
         rng.standard_normal(out=row)
     out *= scale
     return out
+
+
+def _regressors(X: np.ndarray, L: int, iid: bool) -> np.ndarray:
+    """The ``(rows, k, L)`` regressors of a stream block, newest first: the
+    block itself (i.i.d.) or reversed length-L windows of it (delay line,
+    a view whose rows keep their negative stride)."""
+    return X if iid else sliding_window_view(X, L, axis=1)[:, :, ::-1]
 
 
 def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
@@ -368,6 +401,9 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
     S = np.array([system.s for system in systems])
     dev[:, 0] = [system.norm_sq for system in systems]
     limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev[:, 0])
+    # while a step's deviations sum to at most `safe`, no ||w||^2 can
+    # exceed its limit (module docstring: the bound and its margin)
+    safe = float(np.min(limit / (2 * (1 + 1e-3)) - dev[:, 0]))
     inputs, noises = (np.array([stream(spec.seed, t, role)
                                 for t in range(first, first + rows)])
                       for role in (INPUT_ROLE, NOISE_ROLE))
@@ -376,40 +412,58 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
     g = ATTRACTORS.get(params.variant)
     weight = params.kappa if g else 0.0
 
-    live = np.arange(rows)                      # rows still advancing
+    live, at = np.arange(rows), slice(None)     # `at`: a slice until a
+                                                # row diverges, then live
+    upd, diff, pull = np.empty((3, rows, L))
+    e, d2 = np.empty((2, rows))
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
     block = max(1, _BLOCK // (rows * (L if iid else 1)))
+    v_block = block * max(1, _BLOCK // (rows * block))
 
-    for n in range(1, n_iter + 1):
-        j = (n - 1) % block                 # step n's place in its block
-        if j == 0:
-            k = min(block, n_iter - n + 1)
-            v = _draw(noises, k, sv)
-            if iid:
-                X = _draw(inputs, k * L, sx).reshape(-1, k, L)
-            else:               # oldest first: the last L-1 samples, then k
-                X = np.concatenate((X[:, X.shape[1] - L + 1:],
-                                    _draw(inputs, k, sx)), axis=1)
-        x = X[:, j] if iid else X[:, j:j + L][:, ::-1]
-        e = np.vecdot(x, S) + v[:, j] - np.vecdot(x, W)
-        pull = weight * g(W, params.alpha) if weight else None
-        W += (params.mu * e)[:, None] * x
-        if weight:
-            W += pull
-        diff = W - S
-        d2 = np.vecdot(diff, diff)
-        dev[live, n] = d2
-        if n >= record_from:
-            wsum[live] += W
-        bad = (np.vecdot(W, W) > limit) | ~np.isfinite(d2)
-        if bad.any():
-            diverged_at[live[bad]] = n
-            dev[live[bad], n + 1:] = np.nan
-            keep = np.flatnonzero(~bad)
-            live, W, S, limit, v, X, inputs, noises = (
-                a[keep] for a in (live, W, S, limit, v, X, inputs, noises))
-            if not live.size:
-                break
+    n = 0
+    while n < n_iter and live.size:
+        k = min(block, n_iter - n)
+        jv = n % v_block                # the block's place in its noise block
+        if jv == 0:
+            v = _draw(noises, min(v_block, n_iter - n), sv)
+        if iid:
+            X = _draw(inputs, k * L, sx).reshape(-1, k, L)
+        else:                   # oldest first: the last L-1 samples, then k
+            X = np.concatenate((X[:, X.shape[1] - L + 1:],
+                                _draw(inputs, k, sx)), axis=1)
+        xs = _regressors(X, L, iid)
+        d = np.vecdot(xs, S[:, None]) + v[:, jv:jv + k]
+        for j in range(k):
+            n += 1
+            x = xs[:, j]
+            np.subtract(d[:, j], np.vecdot(x, W, out=e), out=e)
+            e *= params.mu
+            if weight:
+                g(W, params.alpha, out=pull)
+                pull *= weight
+            W += np.multiply(e[:, None], x, out=upd)
+            if weight:
+                W += pull
+            np.vecdot(np.subtract(W, S, out=diff), diff, out=d2)
+            dev[at, n] = d2
+            if n >= record_from:
+                wsum[at] += W
+            if sum(d2.tolist()) <= safe:        # NaN and inf fall through
+                continue
+            bad = (np.vecdot(W, W) > limit) | ~np.isfinite(d2)
+            if bad.any():
+                diverged_at[live[bad]] = n
+                dev[live[bad], n + 1:] = np.nan
+                keep = np.flatnonzero(~bad)
+                live, W, S, limit, v, X, d, inputs, noises = (
+                    a[keep] for a in (live, W, S, limit, v, X, d, inputs,
+                                      noises))
+                at, m = live, live.size
+                upd, diff, pull, e, d2 = (a[:m] for a in (upd, diff, pull,
+                                                           e, d2))
+                if not m:
+                    break
+                xs = _regressors(X, L, iid)
 
     if record_weights_from is None:
         return dev, diverged_at, None

@@ -68,6 +68,33 @@ def test_attractor_vectorized():
     assert np.allclose(out, [0.0, -10.0, 0.0, 10.0])
 
 
+# each attractor written as a plain expression, the form the in-place
+# evaluation must reproduce bit for bit
+_PLAIN = {
+    Variant.L0LMS: lambda t, a: np.where(
+        np.abs(t) <= 1.0 / a, 2.0 * a * a * t - 2.0 * a * np.sign(t), 0.0),
+    Variant.ZALMS: lambda t, a: -np.sign(t),
+    Variant.RZALMS: lambda t, a: -np.sign(t) / (1.0 + a * np.abs(t)),
+}
+
+
+@given(variant=st.sampled_from(sorted(ATTRACTORS)),
+       t=st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+           [0.0, -0.0, 0.1, -0.1])), min_size=1, max_size=12),
+       alpha=st.floats(1e-3, 1e3))
+def test_attractor_out_is_bit_identical(variant, t, alpha):
+    """``g(t, alpha, out=buf)`` fills and returns ``buf`` with the bits
+    of ``g(t, alpha)`` and of the plain expression, signed zeros
+    included, and leaves ``t`` untouched."""
+    g, t = ATTRACTORS[variant], np.array(t)
+    before, buf = t.copy(), np.full(t.shape, np.nan)
+    want = _PLAIN[variant](t, alpha)
+    assert g(t, alpha, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert g(t, alpha).tobytes() == want.tobytes()
+    assert t.tobytes() == before.tobytes()
+
+
 @given(t=st.floats(-1e3, 1e3), alpha=st.floats(1e-3, 1e3))
 def test_attractor_l0_odd_and_finite(t, alpha):
     g_pos = G0(t, alpha)

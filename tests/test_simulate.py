@@ -290,7 +290,7 @@ def _reference_trial(system, spec, params, trial_index, record_from):
        mu_frac=st.floats(0.01, 0.5), kappa=st.floats(0.0, 1e-3),
        alpha=st.floats(1.0, 20.0), seed=st.integers(0, 2**32),
        block=st.integers(1, 64), record_frac=st.floats(0.0, 1.0),
-       rows=st.integers(1, 3))
+       rows=st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
 def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
                                      mu_frac, kappa, alpha, seed, block,
@@ -320,24 +320,37 @@ def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
         np.testing.assert_array_equal(row_wbar, wbar)
 
 
-def test_engine_rows_diverge_independently():
-    """Rows that diverge leave the weight array; the others run on.  Here
-    3 of 4 trials diverge, the earliest at n = 425."""
-    spec = small_spec(mu=1.05 * mu_max(32, 1.0), Pv=1e-2, trials=4,
-                      iterations=3000)
+@pytest.mark.parametrize("block", [1, 7, 64, simulate._BLOCK])
+@pytest.mark.parametrize("kw, diverged", [
+    (dict(), [921, 0, 497, 425]),
+    (dict(input_model="iid"), [2638, 2925, 2796, 2461]),
+    (dict(mu=1.02 * mu_max(32, 1.0), kappa=1e-3), [1449, 0, 0, 468]),
+    (dict(sigma_s=1e3, Pv=1.0, seed=2), [2914, 0, 979, 0]),
+], ids=["lms", "lms-iid", "l0", "large-s"])
+def test_engine_rows_diverge_independently(kw, diverged, block):
+    """Rows that diverge leave the weight array; the others run on.  Small
+    stream blocks put divergences on block edges and inside blocks, and
+    the engine's cheap guard on ||w||^2 must hand every blow-up to the
+    exact test at the step the reference flags, also with the attraction
+    on and with ||s||^2 of order 1e6."""
+    spec = small_spec(**{"mu": 1.05 * mu_max(32, 1.0), "Pv": 1e-2,
+                         "trials": 4, "iterations": 3000, **kw})
     params = _scalar_params(spec)
-    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
-               for t in range(spec.trials)]
-    got, got_at, _ = run_trials(spec, params, systems)
+    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t,
+                          sigma_s=spec.sigma_s) for t in range(spec.trials)]
+    with mock.patch.object(simulate, "_BLOCK", block):
+        got, got_at, _ = run_trials(spec, params, systems)
+        traj = monte_carlo(spec)
     for t, (sysm, row, at) in enumerate(zip(systems, got, got_at)):
         dev, _ = _reference_trial(sysm, spec, params, t, spec.iterations + 1)
         np.testing.assert_array_equal(row[:dev.size], dev)
         assert np.isnan(row[dev.size:]).all()
         assert dev.size == (at + 1 if at else spec.iterations + 1)
-    assert np.count_nonzero(got_at) == 3
-    traj = monte_carlo(spec)
-    assert (traj.n_diverged, traj.diverged_at) == (3, 425)
-    assert traj.msd.shape == (426,)
+    assert got_at.tolist() == diverged
+    first = min(filter(None, diverged))
+    assert (traj.n_diverged, traj.diverged_at) == (
+        np.count_nonzero(diverged), first)
+    assert traj.msd.shape == (first + 1,)
 
 
 # ---------------------------------------------------------------------------
