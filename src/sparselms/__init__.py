@@ -7,7 +7,7 @@ preset experiments behind a CLI.
 
 __version__ = "0.1.0"
 
-from .kernels import AlgoParams, SparseSystem, Variant, step
+from .kernels import AlgoParams, Variant, step
 from .theory import (AccelerationReport, ApproxMode, AttractionStrengths,
                      BetaSet, ConsistencyError, ConvergenceModel,
                      DegenerateSpectrumError, DeltaSet, EtaSet,
@@ -26,7 +26,7 @@ from .simulate import (ExperimentSpec, NotConvergedError, Trajectory,
 __all__ = [
     "__version__",
     # kernels
-    "AlgoParams", "SparseSystem", "Variant", "step",
+    "AlgoParams", "Variant", "step",
     # theory
     "AccelerationReport", "ApproxMode", "AttractionStrengths", "BetaSet",
     "ConsistencyError", "ConvergenceModel", "DegenerateSpectrumError",

@@ -408,7 +408,7 @@ def _low_snr_note(snr: float) -> None:
 def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
                      snr_convention) -> ExperimentSpec:
     if scale is not None:
-        if scale <= 0:
+        if not 0 < scale < math.inf:
             raise CliError("--scale must be > 0", 1)
         L = max(1, round(spec.L * scale))
         Q = min(L, round(spec.Q * scale))
@@ -423,13 +423,15 @@ def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
     return spec
 
 
-def run_experiment(preset_or_config: str, out_dir, mode: str = "experiment",
+def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
                    seed: int | None = None, trials: int | None = None,
                    scale: float | None = None,
                    snr_convention: str | None = None,
                    workers: int = 1):
     """Run a preset or config in the given mode; returns (manifest|None,
-    exit_code).  A manifest is produced in experiment mode only."""
+    exit_code).  A ``Path`` is always a config file; a string names a
+    preset, or else a config file.  A manifest is produced in experiment
+    mode only."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -438,7 +440,7 @@ def run_experiment(preset_or_config: str, out_dir, mode: str = "experiment",
     if not os.access(out, os.W_OK):
         raise CliError(f"output directory {out} is not writable", 1)
 
-    if preset_or_config in PRESETS:
+    if isinstance(preset_or_config, str) and preset_or_config in PRESETS:
         preset = name = preset_or_config
         mu, snrs, sweep = PRESETS[name]
         spec = _apply_overrides(
@@ -706,7 +708,7 @@ def main(argv=None) -> int:
         if args.preset and args.preset not in PRESET_NAMES:
             raise CliError(f"unknown preset {args.preset!r} (expected one "
                            f"of {', '.join(PRESET_NAMES)})", 1)
-        target = args.preset if args.preset else args.config
+        target = args.preset if args.preset else Path(args.config)
         _, code = run_experiment(
             target, _out_dir(args), mode=args.mode, seed=args.seed,
             trials=args.trials, scale=args.scale,

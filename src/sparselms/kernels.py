@@ -58,31 +58,20 @@ class AlgoParams:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class SparseSystem:
-    """The unknown impulse response: length L with exactly Q non-zeros."""
-
-    s: np.ndarray
-    L: int
-    Q: int
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        object.__setattr__(self, "s", s)
-        if s.shape != (self.L,):
-            raise ValueError(f"s has shape {s.shape}, expected ({self.L},)")
-        nnz = int(np.count_nonzero(s))
-        if nnz != self.Q:
-            raise ValueError(f"s has {nnz} non-zeros, declared Q={self.Q}")
-
-    @classmethod
-    def from_vector(cls, s) -> "SparseSystem":
-        s = np.asarray(s, dtype=float)
-        return cls(s=s, L=s.size, Q=int(np.count_nonzero(s)))
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.s @ self.s)
+def _as_systems(systems, L: int | None = None) -> np.ndarray:
+    """``systems`` as one float array: a system, its ``(L,)`` coefficient
+    array, or a ``(rows, L)`` array of them, at the given L if any.  Other
+    ranks, rows of several lengths and L < 1 raise ValueError."""
+    try:
+        s = np.asarray(systems, dtype=float)
+    except ValueError as e:                 # rows of several lengths
+        raise ValueError(f"systems must form one (rows, L) array: {e}") \
+            from None
+    if (s.ndim not in (1, 2) or s.shape[-1] < 1
+            or L not in (None, s.shape[-1])):
+        raise ValueError(f"expected one system or a (rows, L) array of them, "
+                         f"L = {L or '1 or more'}, got shape {s.shape}")
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import theory
-from .kernels import ATTRACTORS, AlgoParams, SparseSystem, Variant
+from .kernels import ATTRACTORS, AlgoParams, Variant, _as_systems
 
 __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
@@ -80,6 +80,8 @@ DIVERGENCE_FACTOR = 1e6
 
 INPUT_MODELS = ("delay_line", "iid")
 _BLOCK = 1 << 14            # samples per stream block, all rows together
+# bytes of one trial's two stream generators: RSS grew 1.2-1.6 kB per trial
+_GENERATOR_BYTES = 1600
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -128,10 +130,10 @@ def stream(seed: int, trial: int, role: int) -> np.random.Generator:
 
 
 def gen_system(L: int, Q: int, seed: int, trial: int = 0,
-               sigma_s: float = 1.0) -> SparseSystem:
-    """Draw a random sparse system: Q support positions uniform without
-    replacement, values i.i.d. N(0, sigma_s^2).  Deterministic given
-    (seed, trial)."""
+               sigma_s: float = 1.0) -> np.ndarray:
+    """Draw a random sparse system, its ``(L,)`` coefficient array: Q
+    support positions uniform without replacement, values i.i.d.
+    N(0, sigma_s^2).  Deterministic given (seed, trial)."""
     if not 0 <= Q <= L:
         raise ValueError(f"need 0 <= Q <= L, got Q={Q}, L={L}")
     rng = stream(seed, trial, SYSTEM_ROLE)
@@ -139,7 +141,7 @@ def gen_system(L: int, Q: int, seed: int, trial: int = 0,
     vals = rng.standard_normal(Q) * sigma_s
     s = np.zeros(L)
     s[pos] = vals
-    return SparseSystem(s=s, L=L, Q=Q)
+    return s
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def closed_form(spec: ExperimentSpec):
         return None
     if spec.system_mode == "fixed":
         st = theory.strengths(spec.alpha, s=gen_system(
-            spec.L, spec.Q, spec.seed, sigma_s=spec.sigma_s).s)
+            spec.L, spec.Q, spec.seed, sigma_s=spec.sigma_s))
     else:
         st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
     return ((spec.L, spec.Q, st), _scalar_params(spec),
@@ -331,17 +333,19 @@ class Trajectory:
 
 def require_memory(spec: ExperimentSpec, rows: int) -> None:
     """Refuse a run of ``rows`` series whose arrays cannot fit.  Each row
-    holds ``iterations + 1`` deviations and ten L-wide rows: the weights,
-    their running sum, the system, the update, deviation and attraction
-    buffers, the attractor's two temporaries and two stream blocks (the
-    one in use and the next).  The per-block noise, desired outputs, new
-    samples and their copies add six arrays of at most
-    ``rows + 2^14`` doubles.  Raises ValueError naming the estimate when
-    it exceeds physical memory; without ``os.sysconf`` the check is
-    skipped."""
+    holds its two stream generators, ``iterations + 1`` deviations and
+    eleven L-wide rows: the system twice (the drawn ``(rows, L)`` array
+    and a worker's copy of its shard), the weights, their running sum,
+    the update, deviation and attraction buffers, the attractor's two
+    temporaries and two stream blocks (the one in use and the next).
+    The per-block noise, desired outputs, new samples and their copies
+    add six arrays of at most ``rows + 2^14`` doubles.  Raises ValueError
+    naming the estimate when it exceeds physical memory; without
+    ``os.sysconf`` the check is skipped."""
     n_iter = spec.iterations or default_iterations(spec.L, spec.Q, spec.mu,
                                                    spec.Px)
-    need = 8 * (rows * (n_iter + 1 + 10 * spec.L) + 6 * (rows + _BLOCK))
+    need = (rows * _GENERATOR_BYTES
+            + 8 * (rows * (n_iter + 1 + 11 * spec.L) + 6 * (rows + _BLOCK)))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -369,12 +373,14 @@ def _regressors(X: np.ndarray, L: int, iid: bool) -> np.ndarray:
     return X if iid else sliding_window_view(X, L, axis=1)[:, :, ::-1]
 
 
-def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
+def run_trials(spec: ExperimentSpec, params: AlgoParams, systems,
                first: int = 0, record_weights_from: int | None = None):
     """The Monte Carlo engine: trials ``first, first+1, ...``, one per
-    system, advance as the rows of one weight array for
+    row of the ``(rows, spec.L)`` array ``systems`` (a single system is
+    one row), advance as the rows of one weight array for
     ``spec.iterations`` steps.  Every reduction stays within a row, so a
-    row's bits do not depend on the other rows.
+    row's bits do not depend on the other rows.  Systems of another
+    length or rank raise ValueError.
 
     Returns ``(dev, diverged_at, wbar)``, one row per system in trial
     order.  ``dev[i, n]`` is ||w_n - s||^2 of row i, so ``dev[:, 0]`` is
@@ -388,7 +394,8 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
     The delay-line window is warm-started (fully populated at n=0);
     ``spec.input_model = "iid"`` draws every regressor afresh.
     """
-    rows, L = len(systems), spec.L
+    S = np.atleast_2d(_as_systems(systems, spec.L))
+    rows, L = S.shape
     n_iter = spec.iterations or default_iterations(L, spec.Q, params.mu,
                                                    spec.Px)
     dev = np.empty((rows, n_iter + 1))
@@ -398,8 +405,7 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems: list,
     W, wsum = np.zeros((rows, L)), np.zeros((rows, L))
     if not rows:
         return dev, diverged_at, None if record_weights_from is None else W
-    S = np.array([system.s for system in systems])
-    dev[:, 0] = [system.norm_sq for system in systems]
+    dev[:, 0] = np.vecdot(S, S)
     limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev[:, 0])
     # while a step's deviations sum to at most `safe`, no ||w||^2 can
     # exceed its limit (module docstring: the bound and its margin)
@@ -492,22 +498,22 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
         raise ValueError(f"workers must be >= 1, got {workers}")
     require_memory(spec, spec.trials)
     params = _scalar_params(spec)
-    draws = range(spec.trials) if spec.system_mode == "redraw" else [0]
-    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t,
-                          sigma_s=spec.sigma_s) for t in draws]
-    systems *= spec.trials // len(systems)      # "fixed": trial 0's system
+    draws = range(spec.trials if spec.system_mode == "redraw" else 1)
+    S = np.array([gen_system(spec.L, spec.Q, spec.seed, trial=t,
+                             sigma_s=spec.sigma_s) for t in draws])
+    S = np.broadcast_to(S, (spec.trials, spec.L))   # "fixed": trial 0's row
 
     shards = min(workers, spec.trials)
     edges = [i * spec.trials // shards for i in range(shards + 1)]
     run = partial(run_trials, spec, params)
     if shards > 1:
         with ProcessPoolExecutor(max_workers=shards) as ex:
-            parts = list(ex.map(run, [systems[a:b] for a, b in
+            parts = list(ex.map(run, [S[a:b] for a, b in
                                       zip(edges, edges[1:])], edges[:-1]))
         dev, diverged_at = (np.concatenate([p[i] for p in parts])
                             for i in (0, 1))
     else:
-        dev, diverged_at, _ = run(systems, 0)
+        dev, diverged_at, _ = run(S, 0)
 
     n_div = int(np.count_nonzero(diverged_at))
     keep = int(diverged_at[diverged_at > 0].min()) + 1 if n_div \

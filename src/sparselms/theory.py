@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernels import AlgoParams, SparseSystem, Variant, _attract_l0
+from .kernels import AlgoParams, Variant, _as_systems, _attract_l0
 
 __all__ = [
     "SnrConvention", "SignalModel", "TapClassification", "DeltaSet",
@@ -521,10 +521,11 @@ def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
 
 def _strengths_of(system_or_strengths, alpha):
     """Normalize the (system | (L, Q, strengths)) polymorphic argument to
-    ``(L, Q, strengths)``; a system gives its exact strengths."""
-    if isinstance(system_or_strengths, SparseSystem):
-        sysm = system_or_strengths
-        return sysm.L, sysm.Q, strengths(alpha, s=sysm.s)
+    ``(L, Q, strengths)``; a system, its coefficient array, gives its
+    exact strengths."""
+    if isinstance(system_or_strengths, np.ndarray):
+        s = system_or_strengths
+        return s.shape[-1], int(np.count_nonzero(s)), strengths(alpha, s=s)
     L, Q, st = system_or_strengths
     if not isinstance(st, AttractionStrengths):
         raise TypeError("expected (L, Q, AttractionStrengths)")
@@ -552,7 +553,7 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
                   signal: SignalModel) -> SteadyStateReport:
     """Steady-state MSD of the l0 variant, with optimal-weight summary.
 
-    Accepts either a :class:`SparseSystem` (exact strengths) or a tuple
+    Accepts either a system's coefficient array (exact strengths) or a tuple
     ``(L, Q, AttractionStrengths)`` (typically expected strengths).  The
     primary value is computed from the weight-explicit form and
     cross-checked against the power-balance form; disagreement beyond
@@ -871,9 +872,9 @@ class _ZeroTapGrid:
         one_minus_rho = 2 * mu * Px * (1.0 - mu * Px)
         sd_lo = math.sqrt(mu ** 2 * Px * Pv / one_minus_rho)
         w_in, u_max = [], []
-        for x, k in zip(systems, kappa):
+        for s, k in zip(systems, kappa):
             peak = mu ** 2 * Px * Pv / (4 * alpha * k)
-            d_max = max(x.norm_sq, lms_theory(x.L, mu, Px, Pv))
+            d_max = max(float(s @ s), lms_theory(len(s), mu, Px, Pv))
             sd_hi = math.sqrt(mu ** 2 * Px * (Px * d_max + Pv) / one_minus_rho)
             w_in.append(min(sd_lo, peak) / 20.0)
             u_max.append(math.asinh(max(12.0 * sd_hi, 2.0 / alpha) / w_in[-1]))
@@ -964,7 +965,7 @@ def tapwise_recursion(system, params, signal: SignalModel,
     The paper's closed form (:func:`convergence_model`) instead linearizes
     the zero-tap attraction about its steady-state scale and assumes a
     Gaussian zero-tap law; this recursion drops both approximations.  At
-    ``kappa = 0`` it is plain LMS exactly: ``lms_theory(..., s=system.s)``.
+    ``kappa = 0`` it is plain LMS exactly: ``lms_theory(..., s=system)``.
 
     The diffusion step needs the sign term's move per step, 2*alpha*kappa,
     to be small against the per-step noise mu*sqrt(Px*(Px*D + Pv)) of a
@@ -973,44 +974,44 @@ def tapwise_recursion(system, params, signal: SignalModel,
     at a ratio of about 70 in one i.i.d. check; at the benchmark point the
     ratio is below 0.3, and a 20-trial i.i.d. run stays within 0.35 dB).
 
-    ``system`` is a :class:`SparseSystem` or a sequence of them, and
-    ``params`` an :class:`AlgoParams` or a sequence of them that differ
-    in ``kappa`` only (l0 or plain LMS).  The result holds the ``n_max+1``
-    MSD values of each (params, system) pair, entry 0 being ||s||^2, with
-    a leading axis for each argument given as a sequence.  Pairs are
-    independent: batching only shares the per-step overhead.  Uses scipy,
-    imported on call.
+    ``system`` is one coefficient array of L taps, or a ``(rows, L)``
+    array of them, and ``params`` an :class:`AlgoParams` or a sequence of
+    them that differ in ``kappa`` only (l0 or plain LMS).  The result
+    holds the ``n_max+1`` MSD values of each (params, system) pair, entry
+    0 being ||s||^2, with a leading axis for each of ``params`` given as
+    a sequence and ``system`` given as rows.  Pairs are independent:
+    batching only shares the per-step overhead.  Uses scipy, imported on
+    call.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    systems = [system] if isinstance(system, SparseSystem) else list(system)
+    systems = _as_systems(system)
     plist = [params] if isinstance(params, AlgoParams) else list(params)
-    if not systems or not all(isinstance(x, SparseSystem) for x in systems):
-        raise TypeError("expected a SparseSystem or a sequence of them")
     if not plist or not all(isinstance(p, AlgoParams) for p in plist):
         raise TypeError("expected AlgoParams or a sequence of them")
-    kappa_r = np.array([_l0_kappa(p, "tapwise_recursion") for p in plist
-                        for _ in systems])
+    by_row = np.atleast_2d(systems)
+    kappa_r = np.repeat([_l0_kappa(p, "tapwise_recursion") for p in plist],
+                        len(by_row))
     mu, alpha = plist[0].mu, plist[0].alpha
     if any((p.mu, p.alpha) != (mu, alpha) for p in plist):
         raise ValueError("batched params may differ in kappa only")
     Px, Pv = signal.Px, signal.Pv
-    for x in systems:
-        _require_stable(x.L, mu, Px)
+    L = systems.shape[-1]
+    _require_stable(L, mu, Px)
     lam = 1.0 - mu * Px
     rho = 1.0 - 2 * mu * Px + 2 * mu ** 2 * Px ** 2
 
     # one row per (params, system) pair; non-zero taps of all rows are
-    # flattened, with owner[k] the row of tap k
-    rows = [x for _ in plist for x in systems]
+    # flattened in row order, with owner[k] the row of tap k
+    rows = np.tile(by_row, (len(plist), 1))
     R = len(rows)
-    s_nz = np.concatenate([x.s[x.s != 0.0] for x in rows])
-    owner = np.repeat(np.arange(R), [x.Q for x in rows])
+    owner, col = np.nonzero(rows)
+    s_nz = rows[owner, col]
     kappa = kappa_r[owner]
     attracted = kappa > 0.0
     m = -s_nz                               # E[h] starts at -s
     v = np.zeros_like(s_nz)                 # Var[h]
-    n_zero = np.array([x.L - x.Q for x in rows], dtype=float)
+    n_zero = (L - np.count_nonzero(rows, axis=1)).astype(float)
     S0 = np.zeros(R)                        # zero-tap second moment
 
     out = np.empty((R, n_max + 1))
@@ -1018,8 +1019,7 @@ def tapwise_recursion(system, params, signal: SignalModel,
     ar = np.flatnonzero(kappa_r > 0.0)
     kappa_a = kappa_r[ar]
     if ar.size:
-        grid = _ZeroTapGrid([rows[r] for r in ar], kappa_a, mu, alpha,
-                            Px, Pv)
+        grid = _ZeroTapGrid(rows[ar], kappa_a, mu, alpha, Px, Pv)
         P = np.zeros((ar.size, _FP_CELLS))  # cell masses of the law of |w|
         P[:, 0] = 1.0                       # w_0 = 0 on every zero tap
     for n in range(n_max + 1):
@@ -1048,7 +1048,7 @@ def tapwise_recursion(system, params, signal: SignalModel,
             P = grid.step(P, beta)
         m, v, S0 = m_new, v_new, S0_new
     shape = (() if isinstance(params, AlgoParams) else (len(plist),)) \
-        + (() if isinstance(system, SparseSystem) else (len(systems),))
+        + (() if systems.ndim == 1 else (len(systems),))
     return out.reshape(shape + (n_max + 1,))
 
 

@@ -23,7 +23,6 @@ from sparselms import (
     ApproxMode,
     NotConvergedError,
     SignalModel,
-    SparseSystem,
     Variant,
     approx_min_msd,
     convergence_model,
@@ -399,7 +398,7 @@ def _theory_vs_sim(L, Q, trials):
         line = monte_carlo(spec, workers=2)
         iid = monte_carlo(replace(spec, input_model="iid"), workers=2)
         assert not (line.diverged or iid.diverged)
-        drawn = np.mean([l0_steady_msd((L, Q, strengths(alpha, s=x.s)), p,
+        drawn = np.mean([l0_steady_msd((L, Q, strengths(alpha, s=x)), p,
                                        sig).d_inf for x in systems])
         model = convergence_model((L, Q, st), p, sig)
         gaps["steady"].append(gap_db(line.steady_estimate, drawn))
@@ -487,7 +486,7 @@ def test_criterion_10_steady_bias_by_tap_class(criterion):
     s[10:20] = [0.03, -0.04, 0.05, -0.06, 0.07,
                 0.035, -0.045, 0.055, -0.065, 0.075]   # inside the range
     s[40:44] = [0.9, -1.2, 1.1, -0.95]                 # outside the range
-    system = SparseSystem.from_vector(s)
+    system = s
     params = AlgoParams(variant=L0, mu=1e-3, kappa=2e-7, alpha=10.0)
     Pv = float(s @ s) * 1e-4                           # 40 dB
     spec = ExperimentSpec(L=128, Q=14, mu=1e-3, alpha=10.0, kappa=2e-7,

@@ -223,9 +223,10 @@ def test_fixed_mode_theory_describes_the_drawn_system(tmp_path):
     header, rows = read_csv(tmp_path / "fixed_40dB_curve.csv")
     assert header[:3] == ["n", "msd_theory", "msd_sim"]
     system = gen_system(24, 3, seed=3)
-    assert system.norm_sq == pytest.approx(1.617, abs=1e-3)   # not Q = 3
-    assert float(rows[0][1]) == pytest.approx(system.norm_sq, rel=1e-12)
-    assert float(rows[0][2]) == pytest.approx(system.norm_sq, rel=1e-12)
+    energy = float(system @ system)
+    assert energy == pytest.approx(1.617, abs=1e-3)   # not Q = 3
+    assert float(rows[0][1]) == pytest.approx(energy, rel=1e-12)
+    assert float(rows[0][2]) == pytest.approx(energy, rel=1e-12)
     spec = ExperimentSpec(**fixed)
     m = RunManifest.load(tmp_path / "fixed_manifest.json")
     assert m.resolved["40dB"]["Pv"] == noise_power(spec) \
@@ -375,11 +376,25 @@ def test_preset_and_config_are_mutually_exclusive(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_scale_must_be_positive(tmp_path, capsys):
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+def test_scale_must_be_positive(tmp_path, capsys, scale):
     rc = main(["theory", "--preset", "exp1", "--out", str(tmp_path),
-               "--scale", "0"])
+               "--scale", scale])
     assert rc == 1
-    assert "--scale must be > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--scale must be > 0" in err and "Traceback" not in err
+
+
+def test_config_named_like_a_preset_runs_the_config(tmp_path, monkeypatch,
+                                                     capsys):
+    """--config exp1 reads the file ./exp1, not the preset of that name."""
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "exp1", **{**TINY, "kappa": 1e-5})
+    assert main(["theory", "--config", "exp1", "--out", "out"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "exp1_40dB_curve_theory.csv"]
+    _, rows = read_csv(tmp_path / "out" / "exp1_40dB_curve_theory.csv")
+    assert len(rows) == TINY["iterations"] + 1
 
 
 def test_config_with_two_swept_parameters(tmp_path, capsys):

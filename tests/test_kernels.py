@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselms import AlgoParams, SparseSystem, Variant, step
+from sparselms import AlgoParams, Variant, step
 from sparselms.kernels import ATTRACTORS
 
 
@@ -231,12 +231,3 @@ def test_algoparams_validation():
     assert [f.name for f in fields(AlgoParams)] == ["variant", "mu", "kappa",
                                                     "alpha"]
 
-
-def test_sparsesystem_counts_nonzeros():
-    s = np.zeros(10)
-    s[[2, 5]] = 1.0
-    sys_ok = SparseSystem.from_vector(s)
-    assert (sys_ok.L, sys_ok.Q) == (10, 2)
-    assert sys_ok.norm_sq == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="non-zeros"):
-        SparseSystem(s=s, L=10, Q=3)

@@ -36,6 +36,7 @@ from sparselms.simulate import (
     SYSTEM_ROLE,
     Trajectory,
     _scalar_params,
+    require_memory,
 )
 
 
@@ -68,17 +69,17 @@ def test_stream_unit_variance():
 
 def test_gen_system_structure():
     sysm = gen_system(64, 7, seed=3)
-    assert (sysm.L, sysm.Q) == (64, 7)
-    assert int(np.count_nonzero(sysm.s)) == 7
+    assert sysm.shape == (64,) and sysm.dtype == np.float64
+    assert int(np.count_nonzero(sysm)) == 7
     again = gen_system(64, 7, seed=3)
-    assert np.array_equal(sysm.s, again.s)
+    assert np.array_equal(sysm, again)
     other_trial = gen_system(64, 7, seed=3, trial=1)
-    assert not np.array_equal(sysm.s, other_trial.s)
+    assert not np.array_equal(sysm, other_trial)
 
 
 def test_gen_system_tap_scale():
     sysm = gen_system(2000, 500, seed=5, sigma_s=2.0)
-    nz = sysm.s[sysm.s != 0.0]
+    nz = sysm[sysm != 0.0]
     assert 1.7 < float(np.std(nz)) < 2.3
 
 
@@ -182,14 +183,31 @@ def test_run_trial_deviation_indexing():
     sysm = gen_system(spec.L, spec.Q, spec.seed)
     dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec), [sysm])
     assert dev.shape == (1, spec.iterations + 1)
-    assert dev[0, 0] == pytest.approx(sysm.norm_sq, rel=1e-12)
+    assert dev[0, 0] == pytest.approx(float(sysm @ sysm), rel=1e-12)
     assert diverged_at.tolist() == [0] and wbar is None
     # learning happened: tail is well below the start
     assert float(np.mean(dev[0, -20:])) < 0.05 * dev[0, 0]
-    dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec), [],
+    dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec),
+                                        np.empty((0, spec.L)),
                                         record_weights_from=10)
     assert (dev.shape, diverged_at.shape, wbar.shape) == (
         (0, spec.iterations + 1), (0,), (0, spec.L))          # no systems
+
+
+def test_run_trials_rejects_misshapen_systems():
+    """The systems must be one (rows, L) array at the spec's L, or one
+    system: a 16-tap system at L = 32, a rank-3 array or rows of several
+    lengths are refused at entry, naming L."""
+    spec = small_spec()
+    params = _scalar_params(spec)
+    s = gen_system(spec.L, spec.Q, spec.seed)
+    for bad in (gen_system(16, 2, spec.seed), np.zeros((3, 16)), [],
+                np.zeros((2, 3, spec.L)), [s, s[:16]]):
+        with pytest.raises(ValueError, match=r"\(rows, L\) array"):
+            run_trials(spec, params, bad)
+    one, _, _ = run_trials(spec, params, s)     # one system is one row
+    rows, _, _ = run_trials(spec, params, [s])
+    assert np.array_equal(one, rows)
 
 
 def test_run_trial_zero_system_zero_noise_is_identically_zero():
@@ -223,10 +241,10 @@ def test_run_trial_iid_regressors():
     v = stream(spec.seed, 1, NOISE_ROLE).standard_normal(50) \
         * math.sqrt(spec.Pv)
     w = np.zeros(spec.L)
-    dev = [sysm.norm_sq]
+    dev = [float(sysm @ sysm)]
     for x, vn in zip(X, v):
-        w = w + params.mu * (x @ sysm.s + vn - x @ w) * x
-        dev.append(float((w - sysm.s) @ (w - sysm.s)))
+        w = w + params.mu * (x @ sysm + vn - x @ w) * x
+        dev.append(float((w - sysm) @ (w - sysm)))
     np.testing.assert_allclose(res, dev, rtol=1e-12)
 
     (line,), _, _ = run_trials(replace(spec, input_model="delay_line"),
@@ -252,7 +270,7 @@ def test_run_trial_weight_average_window():
                             record_weights_from=3000)
     assert wbar.shape == (1, spec.L)
     # the time average over the settled tail approximates the system
-    assert float(np.linalg.norm(wbar[0] - sysm.s) ** 2) < 0.02 * sysm.norm_sq
+    assert float(np.linalg.norm(wbar[0] - sysm) ** 2) < 0.02 * (sysm @ sysm)
 
 
 def _reference_trial(system, spec, params, trial_index, record_from):
@@ -269,12 +287,13 @@ def _reference_trial(system, spec, params, trial_index, record_from):
         X = [seq[n:n + L][::-1] for n in range(N)]
     v = stream(spec.seed, trial_index, NOISE_ROLE).standard_normal(N) \
         * math.sqrt(noise_power(spec))
-    limit = DIVERGENCE_FACTOR * max(1.0, system.norm_sq)
+    norm_sq = float(system @ system)
+    limit = DIVERGENCE_FACTOR * max(1.0, norm_sq)
     w = np.zeros(L)
-    dev, wsum, count = [system.norm_sq], np.zeros(L), 0
+    dev, wsum, count = [norm_sq], np.zeros(L), 0
     for n in range(N):
-        w, _ = step(w, X[n], float(X[n] @ system.s + v[n]), params)
-        diff = w - system.s
+        w, _ = step(w, X[n], float(X[n] @ system + v[n]), params)
+        diff = w - system
         dev.append(float(diff @ diff))
         if n + 1 >= record_from:
             wsum += w
@@ -392,8 +411,10 @@ def test_monte_carlo_rejects_unresolved_kappa_and_bad_workers():
 def test_monte_carlo_fixed_vs_redrawn_systems():
     fixed = monte_carlo(small_spec(system_mode="fixed", trials=3))
     redraw = monte_carlo(small_spec(system_mode="redraw", trials=3))
-    assert fixed.msd[0] == pytest.approx(gen_system(32, 4, 1, trial=0).norm_sq)
-    start = np.mean([gen_system(32, 4, 1, trial=t).norm_sq for t in range(3)])
+    s0 = gen_system(32, 4, 1, trial=0)
+    assert fixed.msd[0] == pytest.approx(s0 @ s0)
+    start = np.mean([s @ s for s in (gen_system(32, 4, 1, trial=t)
+                                     for t in range(3))])
     assert redraw.msd[0] == pytest.approx(start, rel=1e-12)
     assert not np.array_equal(fixed.msd, redraw.msd)
 
@@ -493,3 +514,17 @@ def test_lms_simulation_tracks_closed_form():
     gaps = 10 * np.log10(traj.msd[tail] / curve_theory[tail])
     assert float(np.max(np.abs(gaps))) <= 1.0, \
         f"curve max gap {float(np.max(np.abs(gaps))):+.3f} dB"
+
+
+def test_require_memory_counts_generators_and_systems(monkeypatch):
+    """Each trial holds two stream generators and its system twice (the
+    drawn array and a worker's copy), so 3e7 one-tap trials of one step
+    need more than 8 GiB: the count alone refuses them, nothing is
+    allocated."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}    # 8 GiB
+    monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+    spec = ExperimentSpec(L=1, Q=1, mu=0.1, Pv=1e-3, trials=30_000_000,
+                          iterations=1)
+    with pytest.raises(ValueError, match="GiB"):
+        require_memory(spec, spec.trials)
+    require_memory(spec, 1_000_000)                 # about 1.7 GB fits

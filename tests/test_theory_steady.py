@@ -16,7 +16,6 @@ from sparselms import (
     ApproxMode,
     SignalModel,
     SnrConvention,
-    SparseSystem,
     StabilityError,
     SteadyStateReport,
     Variant,
@@ -170,10 +169,9 @@ def test_exact_strengths_route_and_bias():
     s = np.zeros(300)
     s[:20] = rng.standard_normal(20)
     s[20:30] = 0.02 * rng.standard_normal(10)      # small taps for alpha=10
-    sysm = SparseSystem.from_vector(s)
     p = AlgoParams(variant=Variant.L0LMS, mu=2e-4, kappa=1e-7, alpha=10.0)
     sig = SignalModel(Px=1.0, Pv=1e-4)
-    rep = l0_steady_msd(sysm, p, sig)
+    rep = l0_steady_msd(s, p, sig)
     assert rep.d_inf > 0
     bias = steady_bias(s, p, 1.0)
     assert bias.shape == s.shape

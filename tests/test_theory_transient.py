@@ -15,7 +15,6 @@ from sparselms import (
     AttractionStrengths,
     DegenerateSpectrumError,
     SignalModel,
-    SparseSystem,
     Variant,
     acceleration_check,
     classify,
@@ -100,7 +99,7 @@ def test_exact_system_start_uses_its_norm():
     p = AlgoParams(variant=Variant.L0LMS, mu=4e-4, kappa=1e-7, alpha=10.0)
     sig = SignalModel(Px=1.0, Pv=1e-4)
     # a drawn system starts at ||s||^2; the ensemble at Q * sigma_s^2
-    for system, energy in ((SparseSystem.from_vector(s), float(s @ s)),
+    for system, energy in ((s, float(s @ s)),
                            ((32, 4, strengths(10.0, Q=4, sigma_s=2.0)), 16.0)):
         m = convergence_model(system, p, sig)
         assert m.s_norm_sq == pytest.approx(energy, rel=1e-12)
@@ -283,11 +282,10 @@ def test_acceleration_all_large_system_drops_forcing_mode():
     L, Q, alpha = 400, 8, 10.0
     s = np.zeros(L)
     s[:Q] = 1.0
-    sysm = SparseSystem.from_vector(s)
     mu = 0.75 * mu_max(L, 1.0)
     p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=1e-6, alpha=alpha)
     sig = SignalModel(Px=1.0, Pv=1e-4)
-    m = convergence_model(sysm, p, sig)
+    m = convergence_model(s, p, sig)
     rep = acceleration_check(m, p, classify(s, alpha))
     assert rep.sufficient_mu and rep.sufficient_cs_empty
     assert rep.actual_faster
@@ -307,9 +305,9 @@ def test_tapwise_recursion_kappa_zero_is_lms(L, Q):
     mu, Pv = 8e-4, Q * 1e-4
     p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=0.0, alpha=10.0)
     curve = tapwise_recursion(system, p, SignalModel(Px=1.0, Pv=Pv), 30000)
-    ref = lms_theory(L, mu, 1.0, Pv, s=system.s, n=np.arange(30001))
+    ref = lms_theory(L, mu, 1.0, Pv, s=system, n=np.arange(30001))
     assert curve.shape == (30001,)
-    assert curve[0] == pytest.approx(system.norm_sq, rel=1e-12)
+    assert curve[0] == pytest.approx(system @ system, rel=1e-12)
     assert np.max(np.abs(10 * np.log10(curve / ref))) <= 0.1
 
 
@@ -341,7 +339,7 @@ def test_tapwise_recursion_attraction_settles_near_closed_form_steady():
     p = AlgoParams(variant=Variant.L0LMS, mu=8e-4, kappa=ko, alpha=10.0)
     curve = tapwise_recursion(system, p, sig, 30000)
     steady = float(np.mean(curve[-3000:]))
-    rep = l0_steady_msd((250, 25, strengths(10.0, s=system.s)), p, sig)
+    rep = l0_steady_msd((250, 25, strengths(10.0, s=system)), p, sig)
     assert abs(10 * np.log10(steady / rep.d_inf)) <= 1.0
     assert steady < rep.d_lms
 
@@ -359,8 +357,13 @@ def test_tapwise_recursion_validation():
         tapwise_recursion(system, [p, AlgoParams(variant=Variant.L0LMS,
                                                  mu=1e-3, alpha=10.0)],
                           sig, 10)
+    # one system of L taps or a (rows, L) array of them, L >= 1
+    for bad in ([], np.zeros((2, 0)), np.zeros((2, 3, 32)),
+                [system, np.zeros(16)]):
+        with pytest.raises(ValueError, match="L"):
+            tapwise_recursion(bad, p, sig, 10)
     with pytest.raises(TypeError):
-        tapwise_recursion([], p, sig, 10)
+        tapwise_recursion(system, [], sig, 10)
 
 
 _SIG = SignalModel(Px=1.0, Pv=1e-4)
@@ -369,7 +372,7 @@ ENTRY_POINTS = {
     "convergence_model": lambda x, p: convergence_model(x, p, _SIG),
     "exact_recursion": lambda x, p: exact_recursion(x, p, _SIG, 200),
     "tapwise_recursion": lambda x, p: tapwise_recursion(x, p, _SIG, 200),
-    "steady_bias": lambda x, p: steady_bias(x.s, p, 1.0),
+    "steady_bias": lambda x, p: steady_bias(x, p, 1.0),
 }
 
 
