@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, theory
 from .kernels import Variant
-from .simulate import (ExperimentSpec, closed_form, default_iterations,
+from .simulate import (ExperimentSpec, closed_form, iteration_count,
                        monte_carlo, noise_power, require_memory,
                        resolve_kappa)
 
@@ -341,9 +341,7 @@ class _Run:
         return cols
 
     def curve(self, stem: str, spec: ExperimentSpec) -> None:
-        if spec.iterations is None:
-            spec = replace(spec, iterations=default_iterations(
-                spec.L, spec.Q, spec.mu, spec.Px))
+        spec = replace(spec, iterations=iteration_count(spec))
         require_memory(spec, spec.trials if self.want_sim else 1)
         n = np.arange(spec.iterations + 1)
         cols = {}
@@ -408,8 +406,10 @@ def _low_snr_note(snr: float) -> None:
 def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
                      snr_convention) -> ExperimentSpec:
     if scale is not None:
-        if not 0 < scale < math.inf:
-            raise CliError("--scale must be > 0", 1)
+        sized = (spec.L * scale, spec.Q * scale, spec.trials * scale)
+        if not (scale > 0 and all(map(math.isfinite, sized))):
+            raise CliError("--scale must be > 0 and keep L, Q and trials "
+                           "finite", 1)
         L = max(1, round(spec.L * scale))
         Q = min(L, round(spec.Q * scale))
         spec = replace(spec, L=L, Q=Q,
@@ -456,11 +456,11 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
         name = Path(preset_or_config).stem
         sweep = _config_sweep(spec)
         bases = [spec]
-        resolved = {"snrs": [] if spec.snr_db is None else [spec.snr_db]}
+        resolved = {"snrs": [] if spec.Pv is not None else [spec.snr_db]}
 
     run = _Run(mode, out, workers)
     for base in bases:
-        if base.snr_db is None:
+        if base.Pv is not None:             # an explicit Pv is the noise
             label = f"Pv{base.Pv:g}"
         else:
             label = f"{base.snr_db:g}dB"
@@ -524,8 +524,10 @@ def _read_points(path) -> tuple[list[str], dict]:
         try:
             key = float(row[0])
         except ValueError:
+            key = math.nan
+        if not math.isfinite(key):
             raise CliError(f"{path}:{line}: {header[0]} value {row[0]!r} "
-                           "is not a number", 1)
+                           "is not a finite number", 1)
         if key in pts:
             raise CliError(f"{path}:{line}: {header[0]} value {row[0]!r} "
                            f"repeats {pts[key][0]!r}", 1)
@@ -644,6 +646,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:                  # NaN too
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", metavar="NAME",
@@ -685,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-point dB gap report between two CSVs")
     cp.add_argument("theory_csv", help="reference file (theory side)")
     cp.add_argument("sim_csv", help="comparison file (simulation side)")
-    cp.add_argument("--tolerance-db", type=float, default=1.0,
+    cp.add_argument("--tolerance-db", type=_tolerance, default=1.0,
                     help="max |gap| allowed in dB (default 1.0)")
     cp.add_argument("--out", metavar="DIR",
                     help="directory for the per-point gap CSV when the "

@@ -12,8 +12,10 @@ dot ``x @ w`` computes for one trial), and a diverged row leaves the
 array.  ``workers > 1`` splits the trials into contiguous shards, one
 process each, and the average runs in trial order, so a ``(spec, seed)``
 gives a bit-identical Trajectory across runs and worker counts.  The
-engine, :func:`run_trials`, reproduces the per-trial loop over
-``kernels.step`` it replaced bit for bit.
+engine, :func:`run_trials`, reads the variant, mu, kappa, alpha and step
+count of a parameter point (a spec with no sweep, a numeric kappa and
+one variant) from that spec alone, and matches the per-trial loop over
+``kernels.step`` bit for bit.
 
 Each engine step runs only the row-wise arithmetic that depends on the
 weights, and every piece keeps the bits of the per-step form:
@@ -68,8 +70,8 @@ __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
     "ExperimentSpec", "Trajectory", "NotConvergedError", "run_trials",
     "monte_carlo", "estimate_steady", "noise_power", "closed_form",
-    "default_iterations", "require_memory", "resolve_kappa",
-    "DIVERGENCE_FACTOR", "INPUT_MODELS",
+    "default_iterations", "iteration_count", "require_memory",
+    "resolve_kappa", "DIVERGENCE_FACTOR", "INPUT_MODELS",
 ]
 
 SYSTEM_ROLE = 0
@@ -150,8 +152,8 @@ class ExperimentSpec:
 
     ``mu`` and ``alpha`` may be scalars or sweeps (tuples); ``kappa`` may
     additionally be the string ``"OPTIMAL"`` (resolved per point by
-    :func:`resolve_kappa`).  ``monte_carlo``
-    consumes fully scalar specs; sweep expansion is the caller's job.
+    :func:`resolve_kappa`).  The engine and the closed forms take a
+    point, a fully scalar spec; sweep expansion is the caller's job.
 
     ``kappa`` and ``alpha`` are the attraction weight and attractor shape
     of whichever variant runs (see :class:`~sparselms.kernels.AlgoParams`).
@@ -239,12 +241,6 @@ class ExperimentSpec:
         if self.snr_db is None and self.Pv is None:
             raise ValueError("give snr_db or an explicit Pv")
 
-    @property
-    def is_scalar(self) -> bool:
-        return (isinstance(self.mu, float) and isinstance(self.alpha, float)
-                and isinstance(self.kappa, float)
-                and len(self.variants) == 1)
-
 
 def noise_power(spec: ExperimentSpec) -> float:
     """Noise power implied by the spec: the explicit ``Pv`` when set,
@@ -266,38 +262,48 @@ def default_iterations(L: int, Q: int, mu: float, Px: float) -> int:
     return int(math.ceil(10.0 / (mu * Px * d.delta_L)))
 
 
+def iteration_count(spec: ExperimentSpec) -> int:
+    """``spec.iterations``, or when None ten time constants at its mu."""
+    return spec.iterations or default_iterations(spec.L, spec.Q, spec.mu,
+                                                 spec.Px)
+
+
 def _scalar_params(spec: ExperimentSpec) -> AlgoParams:
-    """AlgoParams of a scalar spec: its variant at (mu, kappa, alpha)."""
+    """AlgoParams of a point: its variant at (mu, kappa, alpha).  A spec
+    with a sweep, an unresolved kappa or several variants raises."""
+    if not (isinstance(spec.mu, float) and isinstance(spec.alpha, float)
+            and isinstance(spec.kappa, float) and len(spec.variants) == 1):
+        raise ValueError("a spec here is one parameter point; expand "
+                         "sweeps and resolve kappa first")
     return AlgoParams(variant=spec.variants[0], mu=spec.mu, kappa=spec.kappa,
                       alpha=spec.alpha)
 
 
 def closed_form(spec: ExperimentSpec):
     """Arguments ``((L, Q, strengths), params, signal)`` of the theory
-    entry points for a scalar spec, or None for ZA/RZA, which have no l0
+    entry points for a point, or None for ZA/RZA, which have no l0
     closed form.  The strengths and energy describe the systems the run
     averages over: the ensemble in ``"redraw"`` mode, trial 0's system in
     ``"fixed"`` mode.  The noise power is the one the simulation uses."""
-    if spec.variants[0] in (Variant.ZALMS, Variant.RZALMS):
+    params = _scalar_params(spec)
+    if params.variant in (Variant.ZALMS, Variant.RZALMS):
         return None
     if spec.system_mode == "fixed":
         st = theory.strengths(spec.alpha, s=gen_system(
             spec.L, spec.Q, spec.seed, sigma_s=spec.sigma_s))
     else:
         st = theory.strengths(spec.alpha, Q=spec.Q, sigma_s=spec.sigma_s)
-    return ((spec.L, spec.Q, st), _scalar_params(spec),
+    return ((spec.L, spec.Q, st), params,
             theory.SignalModel(Px=spec.Px, Pv=noise_power(spec)))
 
 
 def resolve_kappa(spec: ExperimentSpec) -> float:
-    """Resolve kappa="OPTIMAL": the optimum ``kappa_opt`` of the spec's
-    closed form (l0 variant and plain LMS), or its small-alpha
-    sign-attractor limit ``rho_opt`` (ZA/RZA variants)."""
+    """Resolve kappa="OPTIMAL" for the spec's first variant: the optimum
+    ``kappa_opt`` of its closed form (l0 variant and plain LMS), or its
+    small-alpha sign-attractor limit ``rho_opt`` (ZA/RZA variants)."""
     if not isinstance(spec.kappa, str):
         return float(spec.kappa)
-    if not (isinstance(spec.mu, float) and isinstance(spec.alpha, float)):
-        raise ValueError("resolve sweeps before resolving OPTIMAL kappa")
-    args = closed_form(replace(spec, kappa=0.0))
+    args = closed_form(replace(spec, kappa=0.0, variants=spec.variants[:1]))
     if args is None:
         return theory.za_steady_msd(spec.L, spec.Q, spec.mu, 0.0, spec.Px,
                                     noise_power(spec)).rho_opt
@@ -342,8 +348,7 @@ def require_memory(spec: ExperimentSpec, rows: int) -> None:
     add six arrays of at most ``rows + 2^14`` doubles.  Raises ValueError
     naming the estimate when it exceeds physical memory; without
     ``os.sysconf`` the check is skipped."""
-    n_iter = spec.iterations or default_iterations(spec.L, spec.Q, spec.mu,
-                                                   spec.Px)
+    n_iter = iteration_count(spec)
     need = (rows * _GENERATOR_BYTES
             + 8 * (rows * (n_iter + 1 + 11 * spec.L) + 6 * (rows + _BLOCK)))
     try:
@@ -373,14 +378,14 @@ def _regressors(X: np.ndarray, L: int, iid: bool) -> np.ndarray:
     return X if iid else sliding_window_view(X, L, axis=1)[:, :, ::-1]
 
 
-def run_trials(spec: ExperimentSpec, params: AlgoParams, systems,
-               first: int = 0, record_weights_from: int | None = None):
-    """The Monte Carlo engine: trials ``first, first+1, ...``, one per
-    row of the ``(rows, spec.L)`` array ``systems`` (a single system is
-    one row), advance as the rows of one weight array for
-    ``spec.iterations`` steps.  Every reduction stays within a row, so a
-    row's bits do not depend on the other rows.  Systems of another
-    length or rank raise ValueError.
+def run_trials(spec: ExperimentSpec, systems, first: int = 0,
+               record_weights_from: int | None = None):
+    """The Monte Carlo engine: trials ``first, first+1, ...`` of the
+    point ``spec``, one per row of the ``(rows, spec.L)`` array
+    ``systems`` (one system is one row), advance as the rows of one
+    weight array for :func:`iteration_count` steps.  Every reduction
+    stays within a row, so a row's bits do not depend on the other rows.
+    A spec that is not a point, or misshapen systems, raise ValueError.
 
     Returns ``(dev, diverged_at, wbar)``, one row per system in trial
     order.  ``dev[i, n]`` is ||w_n - s||^2 of row i, so ``dev[:, 0]`` is
@@ -394,10 +399,10 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems,
     The delay-line window is warm-started (fully populated at n=0);
     ``spec.input_model = "iid"`` draws every regressor afresh.
     """
+    params = _scalar_params(spec)
     S = np.atleast_2d(_as_systems(systems, spec.L))
     rows, L = S.shape
-    n_iter = spec.iterations or default_iterations(L, spec.Q, params.mu,
-                                                   spec.Px)
+    n_iter = iteration_count(spec)
     dev = np.empty((rows, n_iter + 1))
     diverged_at = np.zeros(rows, dtype=int)     # 0: did not diverge
     record_from = (n_iter + 1 if record_weights_from is None
@@ -482,22 +487,17 @@ def run_trials(spec: ExperimentSpec, params: AlgoParams, systems,
 def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
     """Average ``spec.trials`` independent trials at one parameter point.
 
-    Requires a scalar spec (no sweeps, a numeric kappa, exactly one
-    variant) and ``workers >= 1``; a run whose arrays cannot fit in
-    memory is refused before anything is drawn (:func:`require_memory`).
+    Requires a point and ``workers >= 1``; a run whose arrays cannot fit
+    in memory is refused before anything is drawn (:func:`require_memory`).
     The trials are split into at most ``workers`` contiguous shards, one
     process each when there is more than one; the average runs in trial
     order either way, so the result is bit-identical for a given
     (spec, seed) whatever ``workers`` is.
     """
-    if not spec.is_scalar:
-        raise ValueError(
-            "monte_carlo runs one parameter point; expand sweeps and "
-            "resolve kappa first")
+    _scalar_params(spec)                        # refuses all but a point
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     require_memory(spec, spec.trials)
-    params = _scalar_params(spec)
     draws = range(spec.trials if spec.system_mode == "redraw" else 1)
     S = np.array([gen_system(spec.L, spec.Q, spec.seed, trial=t,
                              sigma_s=spec.sigma_s) for t in draws])
@@ -505,7 +505,7 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
 
     shards = min(workers, spec.trials)
     edges = [i * spec.trials // shards for i in range(shards + 1)]
-    run = partial(run_trials, spec, params)
+    run = partial(run_trials, spec)
     if shards > 1:
         with ProcessPoolExecutor(max_workers=shards) as ex:
             parts = list(ex.map(run, [S[a:b] for a, b in

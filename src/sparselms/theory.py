@@ -173,11 +173,14 @@ class AttractionStrengths:
     action on the small (non-zero, in-range) coefficients, ``G`` summing
     g(s_k)^2 and ``G_prime`` summing s_k*g(s_k) (never positive — the
     attractor opposes the coefficient), and the energy ``norm_sq`` =
-    ||s||^2, the starting deviation of zero-initialized weights."""
+    ||s||^2, the starting deviation of zero-initialized weights.
+    ``alpha`` is the attractor shape :func:`strengths` built them for;
+    the closed forms refuse them at another alpha (None: not checked)."""
 
     G: float
     G_prime: float
     norm_sq: float
+    alpha: float | None = None
 
 
 @dataclass(frozen=True)
@@ -357,9 +360,10 @@ def strengths(alpha: float, s=None, Q: int | None = None,
         gs = _attract_l0(small, alpha)
         return AttractionStrengths(G=float(np.sum(gs * gs)),
                                    G_prime=float(np.sum(small * gs)),
-                                   norm_sq=float(s @ s))
+                                   norm_sq=float(s @ s), alpha=alpha)
     if Q == 0:
-        return AttractionStrengths(G=0.0, G_prime=0.0, norm_sq=0.0)
+        return AttractionStrengths(G=0.0, G_prime=0.0, norm_sq=0.0,
+                                   alpha=alpha)
     x, w = _legendre_rule()
     c = min(1.0 / alpha, 16.0 * sigma_s)
     t = 0.5 * c * (x + 1.0)
@@ -368,7 +372,8 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     gt = _attract_l0(t, alpha)
     G = 2.0 * Q * float(np.sum(ww * gt * gt * pdf))
     Gp = 2.0 * Q * float(np.sum(ww * t * gt * pdf))
-    return AttractionStrengths(G=G, G_prime=Gp, norm_sq=Q * sigma_s ** 2)
+    return AttractionStrengths(G=G, G_prime=Gp, norm_sq=Q * sigma_s ** 2,
+                               alpha=alpha)
 
 
 def mu_max(L: int, Px: float) -> float:
@@ -519,16 +524,23 @@ def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
     return -2 * c / (b + math.sqrt(disc))
 
 
+def _check_alpha(st: AttractionStrengths, alpha: float) -> None:
+    if st.alpha is not None and st.alpha != alpha:
+        raise ValueError(f"strengths built for alpha={st.alpha:g} used at "
+                         f"alpha={alpha:g}")
+
+
 def _strengths_of(system_or_strengths, alpha):
     """Normalize the (system | (L, Q, strengths)) polymorphic argument to
     ``(L, Q, strengths)``; a system, its coefficient array, gives its
-    exact strengths."""
+    exact strengths.  Strengths built for another alpha raise."""
     if isinstance(system_or_strengths, np.ndarray):
         s = system_or_strengths
         return s.shape[-1], int(np.count_nonzero(s)), strengths(alpha, s=s)
     L, Q, st = system_or_strengths
     if not isinstance(st, AttractionStrengths):
         raise TypeError("expected (L, Q, AttractionStrengths)")
+    _check_alpha(st, alpha)
     return int(L), int(Q), st
 
 
@@ -614,9 +626,9 @@ def approx_min_msd(mode, L: int, Q: int, params: AlgoParams,
     """Simplified minimum-MSD approximations.
 
     ``SPARSE``: valid for very sparse systems at small step size
-    (warns when Q/L or (Q+2)*mu*Px/2 exceeds 0.1).  ``Q0``: the all-zero
-    system, exact coincidence with the full optimum and independent of
-    alpha.
+    (warns when Q/L or (Q+2)*mu*Px/2 exceeds 0.1); refuses strengths
+    built for another alpha.  ``Q0``: the all-zero system, exact
+    coincidence with the full optimum and independent of alpha and ``st``.
     """
     mode = ApproxMode(mode)
     mu, alpha = params.mu, params.alpha
@@ -630,6 +642,7 @@ def approx_min_msd(mode, L: int, Q: int, params: AlgoParams,
             raise ValueError(f"Q0 mode requires Q = 0, got Q={Q}")
         return d_lms - 2 * mu * Pv * L * D0 ** 2 \
             / (2 * DL * D0 ** 2 + math.pi * mu * Px * DL ** 2)
+    _check_alpha(st, alpha)
     if Q / L > 0.1 or (Q + 2) * mu * Px / 2 > 0.1:
         warnings.warn(
             f"sparse approximation stretched: Q/L={Q/L:.3f}, "

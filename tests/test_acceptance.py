@@ -492,7 +492,7 @@ def test_criterion_10_steady_bias_by_tap_class(criterion):
     spec = ExperimentSpec(L=128, Q=14, mu=1e-3, alpha=10.0, kappa=2e-7,
                           Pv=Pv, trials=40, iterations=26000, seed=1)
 
-    _, diverged_at, W = run_trials(spec, params, [system] * spec.trials,
+    _, diverged_at, W = run_trials(spec, [system] * spec.trials,
                                    record_weights_from=6000)
     assert not diverged_at.any()
     mis = W.mean(axis=0) - s

@@ -270,6 +270,19 @@ def test_config_sweep_with_explicit_noise_label(tmp_path):
         assert float(r[1]) == pytest.approx(rep.d_inf, rel=1e-15)
 
 
+def test_explicit_noise_power_labels_the_run(tmp_path, capsys):
+    """With both snr_db and Pv the run uses Pv, so the label, the low-SNR
+    note and the recorded SNRs follow Pv, not snr_db."""
+    cfg = write_config(tmp_path / "both.json",
+                       **{**TINY, "snr_db": 10.0, "Pv": 1e-6})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "SNR is low" not in capsys.readouterr().out
+    m = RunManifest.load(tmp_path / "both_manifest.json")
+    assert m.files == ("both_Pv1e-06_curve.csv",)
+    assert m.resolved["snrs"] == []
+    assert m.resolved["Pv1e-06"]["Pv"] == 1e-6
+
+
 @pytest.mark.parametrize("variant", ["LMS", "ZALMS"])
 def test_config_sweep_theory_column_follows_variant(tmp_path, variant):
     cfg = write_config(tmp_path / "var.json", L=24, Q=3, mu=2e-3,
@@ -376,7 +389,7 @@ def test_preset_and_config_are_mutually_exclusive(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan", "1e306"])
 def test_scale_must_be_positive(tmp_path, capsys, scale):
     rc = main(["theory", "--preset", "exp1", "--out", str(tmp_path),
                "--scale", scale])
@@ -607,6 +620,31 @@ def grid_files(tmp_path, factor=1.0, n=4, nan_at=None):
     write_csv(p2, ["kappa", "msd_sim", "msd_sim_db"],
               [[k, v, ""] for k, v in b])
     return str(p1), str(p2)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_compare_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    """A NaN or negative tolerance would fail every comparison: exit 1."""
+    p1, p2 = grid_files(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        main(["compare", p1, p2, "--tolerance-db", tolerance])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert "--tolerance-db: must be >= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["nan", "inf", "-inf"])
+def test_compare_rejects_nonfinite_keys(tmp_path, capsys, key):
+    """A NaN key never matches itself and an infinite one is no grid
+    point: both exit 1 naming the line, like a non-numeric key."""
+    p1, _ = grid_files(tmp_path)
+    header, rows = read_csv(p1)
+    rows[1][0] = key
+    write_csv(p1, header, rows)
+    assert main(["compare", p1, p1]) == 1
+    err = capsys.readouterr().err
+    assert f"{p1}:3: kappa value '{key}' is not a finite number" in err
+    assert "Traceback" not in err
 
 
 def test_compare_identical_grids_pass(tmp_path, capsys):

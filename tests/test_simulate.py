@@ -16,6 +16,7 @@ from sparselms import (
     NotConvergedError,
     SnrConvention,
     Variant,
+    closed_form,
     default_iterations,
     estimate_steady,
     gen_system,
@@ -133,8 +134,9 @@ def test_spec_sweep_normalization():
     spec = small_spec(mu=[1e-3, 2e-3], variants="L0LMS")
     assert spec.mu == (1e-3, 2e-3)
     assert spec.variants == (Variant.L0LMS,)
-    assert not spec.is_scalar
-    assert small_spec().is_scalar
+    with pytest.raises(ValueError, match="expand sweeps"):
+        _scalar_params(spec)
+    _scalar_params(small_spec())
 
 
 def test_noise_power_conventions():
@@ -181,14 +183,13 @@ def test_scalar_params_variant_wiring():
 def test_run_trial_deviation_indexing():
     spec = small_spec(iterations=3000)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec), [sysm])
+    dev, diverged_at, wbar = run_trials(spec, [sysm])
     assert dev.shape == (1, spec.iterations + 1)
     assert dev[0, 0] == pytest.approx(float(sysm @ sysm), rel=1e-12)
     assert diverged_at.tolist() == [0] and wbar is None
     # learning happened: tail is well below the start
     assert float(np.mean(dev[0, -20:])) < 0.05 * dev[0, 0]
-    dev, diverged_at, wbar = run_trials(spec, _scalar_params(spec),
-                                        np.empty((0, spec.L)),
+    dev, diverged_at, wbar = run_trials(spec, np.empty((0, spec.L)),
                                         record_weights_from=10)
     assert (dev.shape, diverged_at.shape, wbar.shape) == (
         (0, spec.iterations + 1), (0,), (0, spec.L))          # no systems
@@ -199,14 +200,13 @@ def test_run_trials_rejects_misshapen_systems():
     system: a 16-tap system at L = 32, a rank-3 array or rows of several
     lengths are refused at entry, naming L."""
     spec = small_spec()
-    params = _scalar_params(spec)
     s = gen_system(spec.L, spec.Q, spec.seed)
     for bad in (gen_system(16, 2, spec.seed), np.zeros((3, 16)), [],
                 np.zeros((2, 3, spec.L)), [s, s[:16]]):
         with pytest.raises(ValueError, match=r"\(rows, L\) array"):
-            run_trials(spec, params, bad)
-    one, _, _ = run_trials(spec, params, s)     # one system is one row
-    rows, _, _ = run_trials(spec, params, [s])
+            run_trials(spec, bad)
+    one, _, _ = run_trials(spec, s)     # one system is one row
+    rows, _, _ = run_trials(spec, [s])
     assert np.array_equal(one, rows)
 
 
@@ -215,17 +215,17 @@ def test_run_trial_zero_system_zero_noise_is_identically_zero():
                       snr_convention=SnrConvention.INPUT_REFERRED)
     object.__setattr__(spec, "Pv", 0.0)      # exact noise-free run
     sysm = gen_system(spec.L, 0, spec.seed)
-    dev, _, _ = run_trials(spec, _scalar_params(spec), [sysm])
+    dev, _, _ = run_trials(spec, [sysm])
     assert np.all(dev == 0.0)
 
 
 def test_run_trial_bit_repeatable():
     spec = small_spec(kappa=1e-6)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    a, _, _ = run_trials(spec, _scalar_params(spec), [sysm], first=2)
-    b, _, _ = run_trials(spec, _scalar_params(spec), [sysm], first=2)
+    a, _, _ = run_trials(spec, [sysm], first=2)
+    b, _, _ = run_trials(spec, [sysm], first=2)
     assert np.array_equal(a, b)
-    c, _, _ = run_trials(spec, _scalar_params(spec), [sysm], first=3)
+    c, _, _ = run_trials(spec, [sysm], first=3)
     assert not np.array_equal(a, c)
 
 
@@ -235,7 +235,7 @@ def test_run_trial_iid_regressors():
     spec = small_spec(iterations=50, input_model="iid")
     sysm = gen_system(spec.L, spec.Q, spec.seed)
     params = _scalar_params(spec)
-    (res,), _, _ = run_trials(spec, params, [sysm], first=1)
+    (res,), _, _ = run_trials(spec, [sysm], first=1)
 
     X = stream(spec.seed, 1, INPUT_ROLE).standard_normal((50, spec.L))
     v = stream(spec.seed, 1, NOISE_ROLE).standard_normal(50) \
@@ -248,14 +248,14 @@ def test_run_trial_iid_regressors():
     np.testing.assert_allclose(res, dev, rtol=1e-12)
 
     (line,), _, _ = run_trials(replace(spec, input_model="delay_line"),
-                               params, [sysm], first=1)
+                               [sysm], first=1)
     assert not np.array_equal(res, line)
 
 
 def test_run_trial_divergence_truncates():
     spec = small_spec(mu=1.2 * mu_max(32, 1.0), iterations=4000, Pv=1e-2)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    (dev,), (at,), _ = run_trials(spec, _scalar_params(spec), [sysm])
+    (dev,), (at,), _ = run_trials(spec, [sysm])
     assert 0 < at < spec.iterations
     assert dev.shape == (spec.iterations + 1,)
     assert not np.isnan(dev[:at + 1]).any()      # valid to the offending entry
@@ -266,8 +266,7 @@ def test_run_trial_divergence_truncates():
 def test_run_trial_weight_average_window():
     spec = small_spec(iterations=5000)
     sysm = gen_system(spec.L, spec.Q, spec.seed)
-    _, _, wbar = run_trials(spec, _scalar_params(spec), [sysm],
-                            record_weights_from=3000)
+    _, _, wbar = run_trials(spec, [sysm], record_weights_from=3000)
     assert wbar.shape == (1, spec.L)
     # the time average over the settled tail approximates the system
     assert float(np.linalg.norm(wbar[0] - sysm) ** 2) < 0.02 * (sysm @ sysm)
@@ -327,7 +326,7 @@ def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
                for t in range(2, 2 + rows)]
     record_from = 1 + int(record_frac * (spec.iterations - 1))
     with mock.patch.object(simulate, "_BLOCK", block):
-        got, got_at, got_wbar = run_trials(spec, params, systems, first=2,
+        got, got_at, got_wbar = run_trials(spec, systems, first=2,
                                            record_weights_from=record_from)
     assert got.shape == (rows, spec.iterations + 1)
     for t, (sysm, row, at, row_wbar) in enumerate(
@@ -358,7 +357,7 @@ def test_engine_rows_diverge_independently(kw, diverged, block):
     systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t,
                           sigma_s=spec.sigma_s) for t in range(spec.trials)]
     with mock.patch.object(simulate, "_BLOCK", block):
-        got, got_at, _ = run_trials(spec, params, systems)
+        got, got_at, _ = run_trials(spec, systems)
         traj = monte_carlo(spec)
     for t, (sysm, row, at) in enumerate(zip(systems, got, got_at)):
         dev, _ = _reference_trial(sysm, spec, params, t, spec.iterations + 1)
@@ -381,7 +380,7 @@ def test_monte_carlo_single_trial_equals_run_trial():
     spec = small_spec(trials=1)
     traj = monte_carlo(spec)
     sysm = gen_system(spec.L, spec.Q, spec.seed, trial=0)
-    dev, _, _ = run_trials(spec, _scalar_params(spec), [sysm])
+    dev, _, _ = run_trials(spec, [sysm])
     assert np.array_equal(traj.msd, dev[0])
 
 
@@ -406,6 +405,49 @@ def test_monte_carlo_rejects_unresolved_kappa_and_bad_workers():
     for workers in (0, -5):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             monte_carlo(small_spec(), workers=workers)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(mu=[1e-3, 2e-3]), dict(alpha=[5.0, 10.0]), dict(kappa="OPTIMAL"),
+    dict(variants=("L0LMS", "LMS")),
+], ids=["swept-mu", "swept-alpha", "optimal-kappa", "two-variants"])
+def test_only_a_point_runs(kw):
+    """closed_form, run_trials and monte_carlo read one parameter point
+    from the spec: a swept mu or alpha, an unresolved kappa or several
+    variants raise the same ValueError in each."""
+    spec = small_spec(**kw)
+    s = gen_system(spec.L, spec.Q, spec.seed)
+    for call in (closed_form, lambda sp: run_trials(sp, [s]), monte_carlo):
+        with pytest.raises(ValueError, match="expand sweeps"):
+            call(spec)
+
+
+def test_resolve_kappa_of_several_variants_reads_the_first():
+    """A spec of several variants resolves kappa="OPTIMAL" at its first
+    variant's optimum, so a scalar config runs every variant at that one
+    weight (the l0 kappa_opt below, not ZA's rho_opt)."""
+    base = ExperimentSpec(L=1000, Q=100, mu=8e-4, alpha=10.0,
+                          kappa="OPTIMAL", snr_db=40.0, trials=1)
+    L0, LMS, ZA, RZA = (Variant.L0LMS, Variant.LMS, Variant.ZALMS,
+                        Variant.RZALMS)
+    for variants in ((L0, LMS, ZA, RZA), (ZA, L0), (RZA, LMS)):
+        assert resolve_kappa(replace(base, variants=variants)) == \
+            resolve_kappa(replace(base, variants=variants[:1]))
+    assert resolve_kappa(replace(base, variants=(L0, ZA))) == \
+        pytest.approx(3.747845320580678e-7, rel=1e-10)
+
+
+def test_default_step_count_is_the_one_require_memory_sizes(monkeypatch):
+    """With iterations=None, run_trials runs exactly the steps that
+    require_memory counts: ten time constants at the spec's mu."""
+    spec = small_spec(iterations=None, mu=2e-2, trials=1)
+    dev, _, _ = run_trials(spec, gen_system(spec.L, spec.Q, spec.seed))
+    steps = dev.shape[1] - 1
+    assert steps == default_iterations(spec.L, spec.Q, spec.mu, spec.Px)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1}             # one byte
+    monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ValueError, match=f"^1 series of {steps} steps "):
+        require_memory(spec, 1)
 
 
 def test_monte_carlo_fixed_vs_redrawn_systems():

@@ -20,6 +20,7 @@ from sparselms import (
     SteadyStateReport,
     Variant,
     approx_min_msd,
+    convergence_model,
     deltas,
     gen_system,
     l0_steady_msd,
@@ -208,6 +209,27 @@ def test_steady_bias_values_and_warning():
         steady_bias(s, strong, Px=1.0)
     with pytest.raises(ValueError, match="l0 variant"):
         steady_bias(s, AlgoParams(variant=Variant.ZALMS, mu=1e-3, kappa=1e-4), Px=1.0)
+
+
+def test_strengths_built_for_another_alpha_are_refused():
+    """Strengths record the alpha they were built for; a closed form at
+    another alpha refuses them instead of returning a value 8% off."""
+    f = FLAGSHIP
+    st10 = strengths(10.0, Q=f["Q"])
+    assert (st10.alpha, strengths(2.0, s=np.ones(4)).alpha) == (10.0, 2.0)
+    p = AlgoParams(variant=Variant.L0LMS, mu=f["mu"], kappa=3.7e-7,
+                   alpha=2.0)
+    sig = SignalModel(Px=f["Px"], Pv=f["Pv"])
+    for call in (lambda: l0_steady_msd((f["L"], f["Q"], st10), p, sig),
+                 lambda: convergence_model((f["L"], f["Q"], st10), p, sig),
+                 lambda: approx_min_msd(ApproxMode.SPARSE, f["L"], f["Q"],
+                                        p, sig, st10)):
+        with pytest.raises(ValueError,
+                           match="built for alpha=10 used at alpha=2"):
+            call()
+    d = l0_steady_msd((f["L"], f["Q"], strengths(2.0, Q=f["Q"])), p,
+                      sig).d_inf
+    assert d == pytest.approx(3.0636e-3, rel=1e-4)
 
 
 def test_variant_guard():
