@@ -8,8 +8,8 @@ preset experiments behind a CLI.
 __version__ = "0.1.0"
 
 from .kernels import AlgoParams, Variant, step
-from .theory import (AccelerationReport, ApproxMode, AttractionStrengths,
-                     BetaSet, ConsistencyError, ConvergenceModel,
+from .theory import (AccelerationReport, AttractionStrengths, BetaSet,
+                     ConsistencyError, ConvergenceModel,
                      DegenerateSpectrumError, DeltaSet, EtaSet,
                      ParameterRangeError, SignalModel, SnrConvention,
                      StabilityError, SteadyStateReport, TapClassification,
@@ -28,7 +28,7 @@ __all__ = [
     # kernels
     "AlgoParams", "Variant", "step",
     # theory
-    "AccelerationReport", "ApproxMode", "AttractionStrengths", "BetaSet",
+    "AccelerationReport", "AttractionStrengths", "BetaSet",
     "ConsistencyError", "ConvergenceModel", "DegenerateSpectrumError",
     "DeltaSet", "EtaSet", "ParameterRangeError", "SignalModel",
     "SnrConvention", "StabilityError", "SteadyStateReport",

@@ -490,7 +490,10 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
             preset=preset, spec=spec, resolved=resolved,
             files=tuple(run.files))
         mpath = out / f"{name}_manifest.json"
-        manifest.save(mpath)
+        try:
+            manifest.save(mpath)
+        except OSError as e:
+            raise CliError(f"cannot write {mpath}: {e}", 1)
         print(f"wrote {mpath}")
     if run.diverged:
         print("divergence detected in at least one Monte Carlo point",
@@ -639,18 +642,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# argparse types: a bad value raises ArgumentTypeError, whose message
+# argparse prints as is (a ValueError would print the function's name)
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not value >= 0:                  # NaN too
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+    try:
+        if (value := float(text)) >= 0:     # not NaN
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:

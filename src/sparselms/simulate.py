@@ -8,10 +8,11 @@ Every random draw comes from a counter-based Philox stream
 the input process, and the observation noise.  The trials of one
 parameter point advance as the rows of one weight array, and rows never
 interact: each row's dot products are its own (``np.vecdot``, the same
-dot ``x @ w`` computes for one trial), and a diverged row leaves the
-array.  ``workers > 1`` splits the trials into contiguous shards, one
-process each, and the average runs in trial order, so a ``(spec, seed)``
-gives a bit-identical Trajectory across runs and worker counts.  The
+dot ``x @ w`` computes for one trial), and a diverged row keeps its
+place, frozen at w = 0.  ``workers > 1`` splits the trials into
+contiguous shards, one process each and at most one per usable CPU, and
+the average runs in trial order, so a ``(spec, seed)`` gives a
+bit-identical Trajectory across runs and worker counts.  The
 engine, :func:`run_trials`, reads the variant, mu, kappa, alpha and step
 count of a parameter point (a spec with no sweep, a numeric kappa and
 one variant) from that spec alone, and matches the per-trial loop over
@@ -371,13 +372,6 @@ def _draw(rngs, n: int, scale: float) -> np.ndarray:
     return out
 
 
-def _regressors(X: np.ndarray, L: int, iid: bool) -> np.ndarray:
-    """The ``(rows, k, L)`` regressors of a stream block, newest first: the
-    block itself (i.i.d.) or reversed length-L windows of it (delay line,
-    a view whose rows keep their negative stride)."""
-    return X if iid else sliding_window_view(X, L, axis=1)[:, :, ::-1]
-
-
 def run_trials(spec: ExperimentSpec, systems, first: int = 0,
                record_weights_from: int | None = None):
     """The Monte Carlo engine: trials ``first, first+1, ...`` of the
@@ -392,9 +386,12 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
     ||s||^2 (zero-initialized weights).  Divergence — ||w||^2 exceeding
     1e6 * max(1, ||s||^2) — stops a row at the offending step, which
     ``diverged_at`` records (0 where the row did not diverge); the row's
-    later entries are NaN.  With ``record_weights_from``, ``wbar`` holds
-    each row's time-averaged weights from that iteration on (a NaN row
-    where the window holds no step); without it, ``wbar`` is None.
+    later entries are NaN.  A diverged row keeps its place: its weights
+    and its step size become 0, so every later step leaves it at w = 0
+    (each attractor has g(0) = 0), and the run ends once every row has
+    diverged.  With ``record_weights_from``, ``wbar`` holds each row's
+    time-averaged weights from that iteration on (a NaN row where the
+    window holds no step); without it, ``wbar`` is None.
 
     The delay-line window is warm-started (fully populated at n=0);
     ``spec.input_model = "iid"`` draws every regressor afresh.
@@ -415,16 +412,15 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
     # while a step's deviations sum to at most `safe`, no ||w||^2 can
     # exceed its limit (module docstring: the bound and its margin)
     safe = float(np.min(limit / (2 * (1 + 1e-3)) - dev[:, 0]))
-    inputs, noises = (np.array([stream(spec.seed, t, role)
-                                for t in range(first, first + rows)])
+    inputs, noises = ([stream(spec.seed, t, role)
+                       for t in range(first, first + rows)]
                       for role in (INPUT_ROLE, NOISE_ROLE))
     sx, sv = math.sqrt(spec.Px), math.sqrt(noise_power(spec))
     iid = spec.input_model == "iid"
     g = ATTRACTORS.get(params.variant)
     weight = params.kappa if g else 0.0
+    mu = np.full(rows, params.mu)               # 0 once a row diverges
 
-    live, at = np.arange(rows), slice(None)     # `at`: a slice until a
-                                                # row diverges, then live
     upd, diff, pull = np.empty((3, rows, L))
     e, d2 = np.empty((2, rows))
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
@@ -432,23 +428,25 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
     v_block = block * max(1, _BLOCK // (rows * block))
 
     n = 0
-    while n < n_iter and live.size:
+    while n < n_iter and not diverged_at.all():
         k = min(block, n_iter - n)
         jv = n % v_block                # the block's place in its noise block
         if jv == 0:
             v = _draw(noises, min(v_block, n_iter - n), sv)
+        # xs: the block's (rows, k, L) regressors, newest first
         if iid:
-            X = _draw(inputs, k * L, sx).reshape(-1, k, L)
+            xs = _draw(inputs, k * L, sx).reshape(-1, k, L)
         else:                   # oldest first: the last L-1 samples, then k
             X = np.concatenate((X[:, X.shape[1] - L + 1:],
                                 _draw(inputs, k, sx)), axis=1)
-        xs = _regressors(X, L, iid)
+            # reversed windows: a view whose rows keep a negative stride
+            xs = sliding_window_view(X, L, axis=1)[:, :, ::-1]
         d = np.vecdot(xs, S[:, None]) + v[:, jv:jv + k]
         for j in range(k):
             n += 1
             x = xs[:, j]
             np.subtract(d[:, j], np.vecdot(x, W, out=e), out=e)
-            e *= params.mu
+            e *= mu
             if weight:
                 g(W, params.alpha, out=pull)
                 pull *= weight
@@ -456,26 +454,20 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
             if weight:
                 W += pull
             np.vecdot(np.subtract(W, S, out=diff), diff, out=d2)
-            dev[at, n] = d2
+            dev[:, n] = d2
             if n >= record_from:
-                wsum[at] += W
+                wsum += W
             if sum(d2.tolist()) <= safe:        # NaN and inf fall through
                 continue
             bad = (np.vecdot(W, W) > limit) | ~np.isfinite(d2)
             if bad.any():
-                diverged_at[live[bad]] = n
-                dev[live[bad], n + 1:] = np.nan
-                keep = np.flatnonzero(~bad)
-                live, W, S, limit, v, X, d, inputs, noises = (
-                    a[keep] for a in (live, W, S, limit, v, X, d, inputs,
-                                      noises))
-                at, m = live, live.size
-                upd, diff, pull, e, d2 = (a[:m] for a in (upd, diff, pull,
-                                                           e, d2))
-                if not m:
+                diverged_at[bad] = n
+                W[bad] = mu[bad] = 0.0  # g(0) = 0: the row stays at w = 0
+                if diverged_at.all():
                     break
-                xs = _regressors(X, L, iid)
 
+    for i in np.flatnonzero(diverged_at):
+        dev[i, diverged_at[i] + 1:] = np.nan
     if record_weights_from is None:
         return dev, diverged_at, None
     counts = (np.where(diverged_at, diverged_at, n_iter)
@@ -489,10 +481,11 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
 
     Requires a point and ``workers >= 1``; a run whose arrays cannot fit
     in memory is refused before anything is drawn (:func:`require_memory`).
-    The trials are split into at most ``workers`` contiguous shards, one
-    process each when there is more than one; the average runs in trial
-    order either way, so the result is bit-identical for a given
-    (spec, seed) whatever ``workers`` is.
+    The trials are split into contiguous shards, at most ``workers`` and
+    at most one per CPU the process may run on, one process each when
+    there is more than one; the average runs in trial order either way,
+    so the result is bit-identical for a given (spec, seed) whatever
+    ``workers`` is.
     """
     _scalar_params(spec)                        # refuses all but a point
     if workers < 1:
@@ -503,7 +496,10 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
                              sigma_s=spec.sigma_s) for t in draws])
     S = np.broadcast_to(S, (spec.trials, spec.L))   # "fixed": trial 0's row
 
-    shards = min(workers, spec.trials)
+    # the pool starts all its processes at once: one per usable CPU at most
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    shards = min(workers, spec.trials, cpus)
     edges = [i * spec.trials // shards for i in range(shards + 1)]
     run = partial(run_trials, spec)
     if shards > 1:

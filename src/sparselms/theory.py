@@ -40,7 +40,7 @@ __all__ = [
     "lms_theory", "steady_bias", "betas", "etas", "solve_omega",
     "l0_steady_msd", "optimal_kappa", "approx_min_msd", "za_steady_msd",
     "convergence_model", "exact_recursion", "tapwise_recursion",
-    "small_tap_mean_curve", "acceleration_check", "ApproxMode",
+    "small_tap_mean_curve", "acceleration_check",
 ]
 
 _SQRT_8_PI = math.sqrt(8.0 / math.pi)
@@ -67,11 +67,6 @@ class SnrConvention(str, enum.Enum):
     # Px * ||s||^2; input-referred: against the raw input power Px.
     OUTPUT_REFERRED = "OUTPUT_REFERRED"
     INPUT_REFERRED = "INPUT_REFERRED"
-
-
-class ApproxMode(str, enum.Enum):
-    SPARSE = "SPARSE"   # very sparse system, small step size
-    Q0 = "Q0"           # all-zero system
 
 
 @dataclass(frozen=True)
@@ -621,25 +616,22 @@ def optimal_kappa(b: BetaSet, d: DeltaSet, L: int, mu: float,
     return ko, dmin, bound
 
 
-def approx_min_msd(mode, L: int, Q: int, params: AlgoParams,
+def approx_min_msd(L: int, Q: int, params: AlgoParams,
                    signal: SignalModel, st: AttractionStrengths) -> float:
-    """Simplified minimum-MSD approximations.
+    """Simplified minimum-MSD approximations, chosen by Q.
 
-    ``SPARSE``: valid for very sparse systems at small step size
-    (warns when Q/L or (Q+2)*mu*Px/2 exceeds 0.1); refuses strengths
-    built for another alpha.  ``Q0``: the all-zero system, exact
-    coincidence with the full optimum and independent of alpha and ``st``.
+    Q = 0: the all-zero system, exact coincidence with the full optimum
+    and independent of alpha and ``st``.  Q > 0: valid for very sparse
+    systems at small step size (warns when Q/L or (Q+2)*mu*Px/2 exceeds
+    0.1); refuses strengths built for another alpha.
     """
-    mode = ApproxMode(mode)
     mu, alpha = params.mu, params.alpha
     Px, Pv = signal.Px, signal.Pv
     _require_stable(L, mu, Px)
     d = deltas(L, Q, mu, Px)
     DL, DQ, D0, D0p = d.as_tuple()
     d_lms = _lms_steady(d, L, mu, Pv)
-    if mode is ApproxMode.Q0:
-        if Q != 0:
-            raise ValueError(f"Q0 mode requires Q = 0, got Q={Q}")
+    if Q == 0:
         return d_lms - 2 * mu * Pv * L * D0 ** 2 \
             / (2 * DL * D0 ** 2 + math.pi * mu * Px * DL ** 2)
     _check_alpha(st, alpha)

@@ -20,7 +20,6 @@ import pytest
 
 from sparselms import (
     AlgoParams,
-    ApproxMode,
     NotConvergedError,
     SignalModel,
     Variant,
@@ -330,7 +329,7 @@ def test_criterion_07_monotonicity_suite(criterion):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = [approx_min_msd(ApproxMode.SPARSE, p["L"], p["Q"],
+        vals = [approx_min_msd(p["L"], p["Q"],
                                AlgoParams(variant=L0, mu=float(m), kappa=0.0,
                                           alpha=p["alpha"]), sig, st)
                 for m in mus]
@@ -341,7 +340,7 @@ def test_criterion_07_monotonicity_suite(criterion):
     pr = AlgoParams(variant=L0, mu=4e-4, kappa=0.0, alpha=p["alpha"])
     sig0 = SignalModel(Px=1.0, Pv=1e-4)
     full = l0_steady_msd((500, 0, st0), pr, sig0).d_min
-    approx = approx_min_msd(ApproxMode.Q0, 500, 0, pr, sig0, st0)
+    approx = approx_min_msd(500, 0, pr, sig0, st0)
     q0_rel = abs(approx - full) / full
     q0_ok = q0_rel <= 1e-6
 

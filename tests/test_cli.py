@@ -429,14 +429,16 @@ def test_swept_config_needs_one_variant(tmp_path, capsys):
     assert "exactly one variant" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "-5"])
+@pytest.mark.parametrize("workers", ["0", "-5", "abc"])
 def test_workers_below_one_exit_1(tmp_path, capsys, workers):
     cfg = write_config(tmp_path / "w.json", **TINY, kappa=0.0)
     with pytest.raises(SystemExit) as ei:
         main(["simulate", "--config", cfg, "--out", str(tmp_path),
               "--workers", workers])
     assert ei.value.code == 1
-    assert "--workers: must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--workers: must be an integer >= 1" in err
+    assert "_positive_int" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -622,15 +624,17 @@ def grid_files(tmp_path, factor=1.0, n=4, nan_at=None):
     return str(p1), str(p2)
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "abc"])
 def test_compare_rejects_bad_tolerance(tmp_path, capsys, tolerance):
-    """A NaN or negative tolerance would fail every comparison: exit 1."""
+    """A NaN or negative tolerance would fail every comparison, and text
+    is no tolerance: exit 1, with a message that names no helper."""
     p1, p2 = grid_files(tmp_path)
     with pytest.raises(SystemExit) as ei:
         main(["compare", p1, p2, "--tolerance-db", tolerance])
     assert ei.value.code == 1
     err = capsys.readouterr().err
-    assert "--tolerance-db: must be >= 0" in err and "Traceback" not in err
+    assert "--tolerance-db: must be a number >= 0" in err
+    assert "Traceback" not in err and "_tolerance" not in err
 
 
 @pytest.mark.parametrize("key", ["nan", "inf", "-inf"])
@@ -823,3 +827,17 @@ def test_writes_replace_files_whole(tmp_path, monkeypatch):
             RunManifest(**{**vars(manifest), "files": ()}).save(mpath)
     assert mpath.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "m.json"]
+
+
+def test_unwritable_manifest_exits_1(tmp_path, capsys):
+    """A manifest path taken by a directory is an output error like an
+    unwritable CSV: exit 1 with a message, no temporary file left."""
+    cfg = write_config(tmp_path / "tiny.json", **TINY, kappa=0.0)
+    (tmp_path / "tiny_manifest.json").mkdir()
+    rc = main(["experiment", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "tiny_manifest.json" in err
+    assert "Traceback" not in err
+    assert not [p.name for p in tmp_path.iterdir()
+                if p.name.endswith(".tmp")]

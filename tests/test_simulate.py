@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -346,11 +347,11 @@ def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
     (dict(sigma_s=1e3, Pv=1.0, seed=2), [2914, 0, 979, 0]),
 ], ids=["lms", "lms-iid", "l0", "large-s"])
 def test_engine_rows_diverge_independently(kw, diverged, block):
-    """Rows that diverge leave the weight array; the others run on.  Small
-    stream blocks put divergences on block edges and inside blocks, and
-    the engine's cheap guard on ||w||^2 must hand every blow-up to the
-    exact test at the step the reference flags, also with the attraction
-    on and with ||s||^2 of order 1e6."""
+    """A row that diverges stays in the weight array, frozen at w = 0; the
+    others run on.  Small stream blocks put divergences on block edges
+    and inside blocks, and the engine's cheap guard on ||w||^2 must hand
+    every blow-up to the exact test at the step the reference flags, also
+    with the attraction on and with ||s||^2 of order 1e6."""
     spec = small_spec(**{"mu": 1.05 * mu_max(32, 1.0), "Pv": 1e-2,
                          "trials": 4, "iterations": 3000, **kw})
     params = _scalar_params(spec)
@@ -369,6 +370,51 @@ def test_engine_rows_diverge_independently(kw, diverged, block):
     assert (traj.n_diverged, traj.diverged_at) == (
         np.count_nonzero(diverged), first)
     assert traj.msd.shape == (first + 1,)
+
+
+def _divergent_rows(L=32):
+    """At twice mu_max without noise, three drawn systems diverge within
+    100 steps while the zero system's row never moves from w = 0."""
+    spec = small_spec(mu=2 * mu_max(L, 1.0), Pv=0.0, trials=4,
+                      iterations=4000)
+    systems = [gen_system(L, spec.Q, spec.seed, trial=t) for t in range(3)]
+    return spec, systems + [np.zeros(L)]
+
+
+def test_diverged_rows_stay_quiet():
+    """A diverged row keeps no growing weights: a 4000-step run whose last
+    row never diverges gives no overflow or invalid-value warning (a
+    diverged row left to run on would overflow here), and every row but
+    the zero system's is NaN after its step."""
+    spec, systems = _divergent_rows()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dev, at, wbar = run_trials(spec, systems, record_weights_from=10)
+    assert at.tolist() == [66, 32, 88, 0]
+    for row, n in zip(dev[:3], at):
+        assert np.isfinite(row[:n + 1]).all() and np.isnan(row[n + 1:]).all()
+    assert not dev[3].any() and not wbar[3].any()
+
+
+def test_no_stream_block_after_every_row_diverged():
+    """Once every row has diverged the engine draws nothing more: a
+    4000-step run stopped at step 88 makes the draws of an 88-step run."""
+    spec, systems = _divergent_rows()
+    real_draw, draws, counts = simulate._draw, [], []
+
+    def counted(*args):
+        draws.append(args)
+        return real_draw(*args)
+
+    for n_iter in (spec.iterations, 88):
+        draws.clear()
+        with mock.patch.object(simulate, "_BLOCK", 7), \
+                mock.patch.object(simulate, "_draw", counted):
+            _, at, _ = run_trials(replace(spec, iterations=n_iter),
+                                  systems[:3])
+        assert at.tolist() == [66, 32, 88]
+        counts.append(len(draws))
+    assert counts[0] == counts[1] > 10
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +436,42 @@ def test_monte_carlo_worker_count_invariance(input_model, trials, workers):
     spec = small_spec(trials=trials, kappa=1e-6, input_model=input_model)
     one = monte_carlo(spec, workers=1)
     many = monte_carlo(spec, workers=workers)
+    assert np.array_equal(one.msd, many.msd)
+    assert np.array_equal(one.trial_steady, many.trial_steady)
+
+
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["affinity", "cpu-count"])
+def test_monte_carlo_starts_at_most_one_process_per_cpu(monkeypatch,
+                                                        affinity):
+    """A pool larger than the usable CPUs is never asked for: 5000 workers
+    on three CPUs make three shards, run here in this process by a pool
+    stand-in that records its size, with the result of one worker."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    if affinity:
+        monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+    else:
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    spec = small_spec(trials=8)
+    one = monte_carlo(spec, workers=1)
+    many = monte_carlo(spec, workers=5000)
+    assert sizes == [3]
     assert np.array_equal(one.msd, many.msd)
     assert np.array_equal(one.trial_steady, many.trial_steady)
 

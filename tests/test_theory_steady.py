@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from sparselms import (
     AlgoParams,
-    ApproxMode,
     SignalModel,
     SnrConvention,
     StabilityError,
@@ -222,8 +221,7 @@ def test_strengths_built_for_another_alpha_are_refused():
     sig = SignalModel(Px=f["Px"], Pv=f["Pv"])
     for call in (lambda: l0_steady_msd((f["L"], f["Q"], st10), p, sig),
                  lambda: convergence_model((f["L"], f["Q"], st10), p, sig),
-                 lambda: approx_min_msd(ApproxMode.SPARSE, f["L"], f["Q"],
-                                        p, sig, st10)):
+                 lambda: approx_min_msd(f["L"], f["Q"], p, sig, st10)):
         with pytest.raises(ValueError,
                            match="built for alpha=10 used at alpha=2"):
             call()
@@ -307,21 +305,14 @@ def test_q0_mode_matches_full_optimum():
     p = AlgoParams(variant=Variant.L0LMS, mu=f["mu"], kappa=0.0, alpha=f["alpha"])
     sig = SignalModel(Px=1.0, Pv=1e-4)
     stg = strengths(f["alpha"], Q=0)
-    approx = approx_min_msd(ApproxMode.Q0, L, 0, p, sig, stg)
+    approx = approx_min_msd(L, 0, p, sig, stg)
     d = deltas(L, 0, f["mu"], 1.0)
     b = betas(d, stg, L, 0, f["mu"], f["alpha"], 1.0, 1e-4)
     _, dmin, _ = optimal_kappa(b, d, L, f["mu"], 1e-4)
     assert approx == pytest.approx(dmin, rel=1e-6)
     # and alpha must not matter at Q=0
     p2 = AlgoParams(variant=Variant.L0LMS, mu=f["mu"], kappa=0.0, alpha=123.0)
-    assert approx_min_msd(ApproxMode.Q0, L, 0, p2, sig, stg) == pytest.approx(approx, rel=1e-12)
-
-
-def test_q0_mode_rejects_nonzero_q():
-    p = AlgoParams(variant=Variant.L0LMS, mu=1e-4, kappa=0.0, alpha=10.0)
-    with pytest.raises(ValueError, match="Q0 mode"):
-        approx_min_msd(ApproxMode.Q0, 100, 5, p, SignalModel(Px=1.0, Pv=1e-4),
-                       strengths(10.0, Q=5))
+    assert approx_min_msd(L, 0, p2, sig, stg) == pytest.approx(approx, rel=1e-12)
 
 
 def test_sparse_mode_bounds_and_warning():
@@ -330,12 +321,12 @@ def test_sparse_mode_bounds_and_warning():
     stg = strengths(10.0, Q=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")       # no warning expected in-regime
-        val = approx_min_msd(ApproxMode.SPARSE, 1000, 20, p, sig, stg)
+        val = approx_min_msd(1000, 20, p, sig, stg)
     d_lms = lms_theory(1000, 2e-4, 1.0, 1e-4)
     assert 0.0 < val < d_lms
     # out of regime: Q/L too large
     with pytest.warns(RuntimeWarning, match="stretched"):
-        approx_min_msd(ApproxMode.SPARSE, 100, 50, p, sig, strengths(10.0, Q=50))
+        approx_min_msd(100, 50, p, sig, strengths(10.0, Q=50))
 
 
 def test_sparse_mode_monotone_in_step_size():
@@ -346,5 +337,5 @@ def test_sparse_mode_monotone_in_step_size():
     vals = []
     for mu in mus:
         p = AlgoParams(variant=Variant.L0LMS, mu=float(mu), kappa=0.0, alpha=10.0)
-        vals.append(approx_min_msd(ApproxMode.SPARSE, 1000, 10, p, sig, stg))
+        vals.append(approx_min_msd(1000, 10, p, sig, stg))
     assert np.all(np.diff(vals) > 0)
