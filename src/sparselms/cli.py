@@ -31,6 +31,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,24 +81,28 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+_CSV_BLOCK = 1024               # rows formatted by one ``%``
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns under ``header``: ``n`` and ``Q`` as
     integers, ``*_db`` columns with 4 decimals, the rest with 17
-    significant digits."""
-    def text(col, values):
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        if col in ("n", "Q"):
-            return [str(int(v)) for v in values]
-        spec = ".4f" if col.endswith("_db") else ".17g"
-        return [format(float(v), spec) for v in values]
-
-    cells = [text(c, v) for c, v in zip(header, columns)]
+    significant digits; rows end in CRLF, one ``%`` per block of rows."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+               for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(columns) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns of lengths {lengths} under "
+                         f"{len(header)} header fields")
+    row = ",".join("%d" if c in ("n", "Q") else
+                   "%.4f" if c.endswith("_db") else "%.17g"
+                   for c in header) + "\r\n"
     try:
         with _replacing(path) as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(zip(*cells))
+            csv.writer(f).writerow(header)
+            for i in range(0, max(lengths, default=0), _CSV_BLOCK):
+                rows = list(zip(*(c[i:i + _CSV_BLOCK] for c in columns)))
+                f.write(row * len(rows) % tuple(chain.from_iterable(rows)))
     except OSError as e:
         raise CliError(f"cannot write {path}: {e}", 1)
 
@@ -414,13 +419,8 @@ def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
         Q = min(L, round(spec.Q * scale))
         spec = replace(spec, L=L, Q=Q,
                        trials=max(1, round(spec.trials * scale)))
-    if trials is not None:
-        spec = replace(spec, trials=trials)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    if snr_convention is not None:
-        spec = replace(spec, snr_convention=snr_convention)
-    return spec
+    given = dict(trials=trials, seed=seed, snr_convention=snr_convention)
+    return replace(spec, **{k: v for k, v in given.items() if v is not None})
 
 
 def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
