@@ -104,7 +104,20 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
                 rows = list(zip(*(c[i:i + _CSV_BLOCK] for c in columns)))
                 f.write(row * len(rows) % tuple(chain.from_iterable(rows)))
     except OSError as e:
-        raise CliError(f"cannot write {path}: {e}", 1)
+        # the target, not the temporary file beside it
+        raise CliError(f"cannot write {path}: {e.strerror or e}", 1)
+
+
+def _output_dir(path) -> Path:
+    """``path`` as a writable directory, created if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot create output directory {out}: {e}", 1)
+    if not os.access(out, os.W_OK):
+        raise CliError(f"output directory {out} is not writable", 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +444,8 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
     """Run a preset or config in the given mode; returns (manifest|None,
     exit_code).  A ``Path`` is always a config file; a string names a
     preset, or else a config file.  A manifest is produced in experiment
-    mode only."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise CliError(f"cannot create output directory {out}: {e}", 1)
-    if not os.access(out, os.W_OK):
-        raise CliError(f"output directory {out} is not writable", 1)
-
+    mode only.  The output directory is made only once the run and its
+    overrides have validated."""
     if isinstance(preset_or_config, str) and preset_or_config in PRESETS:
         preset = name = preset_or_config
         mu, snrs, sweep = PRESETS[name]
@@ -458,7 +464,7 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
         bases = [spec]
         resolved = {"snrs": [] if spec.Pv is not None else [spec.snr_db]}
 
-    run = _Run(mode, out, workers)
+    run = _Run(mode, _output_dir(out_dir), workers)
     for base in bases:
         if base.Pv is not None:             # an explicit Pv is the noise
             label = f"Pv{base.Pv:g}"
@@ -489,11 +495,11 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
             timestamp=datetime.now(timezone.utc).isoformat(),
             preset=preset, spec=spec, resolved=resolved,
             files=tuple(run.files))
-        mpath = out / f"{name}_manifest.json"
+        mpath = run.out / f"{name}_manifest.json"
         try:
             manifest.save(mpath)
         except OSError as e:
-            raise CliError(f"cannot write {mpath}: {e}", 1)
+            raise CliError(f"cannot write {mpath}: {e.strerror or e}", 1)
         print(f"wrote {mpath}")
     if run.diverged:
         print("divergence detected in at least one Monte Carlo point",
@@ -607,9 +613,8 @@ def compare(theory_csv, sim_csv, tolerance_db: float = 1.0,
         for _, text, a, b, g in table:
             print(f"{text:>16}  {a:>24.17g}  {b:>24.17g}  {g:>9.4f}")
     else:
-        out = Path(out_dir) if out_dir else Path(".")
-        gp = out / (Path(sim_csv).stem + "_vs_" + Path(theory_csv).stem
-                    + "_gaps.csv")
+        gp = _output_dir(out_dir or ".") / (
+            Path(sim_csv).stem + "_vs_" + Path(theory_csv).stem + "_gaps.csv")
         keys, _, refs, values, gap_col = zip(*table)
         _write_csv(gp, [key1, "msd_reference", "msd_value", "gap_db"],
                    [keys, refs, values, gap_col])

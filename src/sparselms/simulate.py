@@ -42,8 +42,8 @@ The input model fixes how the input stream becomes regressors.
 so consecutive regressors share L-1 samples.  ``"iid"`` fills each
 regressor with L fresh samples: regressor n holds stream draws
 [n*L, (n+1)*L).  Streams are drawn in blocks of about 2^14 samples
-over all rows (at least one regressor each), the noise in blocks of its
-own; blocks bound memory and do not change the draws.  A delay-line
+over all rows (at least one regressor each), each block's noise with
+its regressors; blocks bound memory and do not change the draws.  A delay-line
 regressor is a reversed view of its block.  The i.i.d. model is the one
 the independence assumption of the theory describes.
 
@@ -425,14 +425,10 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
     e, d2 = np.empty((2, rows))
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
     block = max(1, _BLOCK // (rows * (L if iid else 1)))
-    v_block = block * max(1, _BLOCK // (rows * block))
 
     n = 0
     while n < n_iter and not diverged_at.all():
         k = min(block, n_iter - n)
-        jv = n % v_block                # the block's place in its noise block
-        if jv == 0:
-            v = _draw(noises, min(v_block, n_iter - n), sv)
         # xs: the block's (rows, k, L) regressors, newest first
         if iid:
             xs = _draw(inputs, k * L, sx).reshape(-1, k, L)
@@ -441,7 +437,7 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
                                 _draw(inputs, k, sx)), axis=1)
             # reversed windows: a view whose rows keep a negative stride
             xs = sliding_window_view(X, L, axis=1)[:, :, ::-1]
-        d = np.vecdot(xs, S[:, None]) + v[:, jv:jv + k]
+        d = np.vecdot(xs, S[:, None]) + _draw(noises, k, sv)
         for j in range(k):
             n += 1
             x = xs[:, j]

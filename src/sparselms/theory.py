@@ -941,9 +941,9 @@ class _ZeroTapGrid:
         return p.reshape(P.shape) * self.h
 
 
-def tapwise_recursion(system, params, signal: SignalModel,
+def tapwise_recursion(systems, params, signal: SignalModel,
                       n_max: int) -> np.ndarray:
-    """Learning curve of a drawn system, tracked tap by tap.
+    """Learning curve of each drawn system, tracked tap by tap.
 
     Assumes independent white Gaussian regressors of power ``Px`` (the
     i.i.d. input model of the harness), under which the error h_k = w_k -
@@ -970,7 +970,7 @@ def tapwise_recursion(system, params, signal: SignalModel,
     The paper's closed form (:func:`convergence_model`) instead linearizes
     the zero-tap attraction about its steady-state scale and assumes a
     Gaussian zero-tap law; this recursion drops both approximations.  At
-    ``kappa = 0`` it is plain LMS exactly: ``lms_theory(..., s=system)``.
+    ``kappa = 0`` a row is plain LMS exactly: ``lms_theory(..., s=row)``.
 
     The diffusion step needs the sign term's move per step, 2*alpha*kappa,
     to be small against the per-step noise mu*sqrt(Px*(Px*D + Pv)) of a
@@ -979,37 +979,36 @@ def tapwise_recursion(system, params, signal: SignalModel,
     at a ratio of about 70 in one i.i.d. check; at the benchmark point the
     ratio is below 0.3, and a 20-trial i.i.d. run stays within 0.35 dB).
 
-    ``system`` is one coefficient array of L taps, or a ``(rows, L)``
-    array of them, and ``params`` an :class:`AlgoParams` or a sequence of
-    them that differ in ``kappa`` only (l0 or plain LMS).  The result
-    holds the ``n_max+1`` MSD values of each (params, system) pair, entry
-    0 being ||s||^2, with a leading axis for each of ``params`` given as
-    a sequence and ``system`` given as rows.  Pairs are independent:
-    batching only shares the per-step overhead.  Uses scipy, imported on
-    call.
+    Rows in, rows out, as in the Monte Carlo engine: ``systems`` is a
+    ``(rows, L)`` array of coefficient arrays (one system is one row),
+    and ``params`` one :class:`AlgoParams` for every row or a sequence of
+    exactly one per row; they may differ in ``kappa`` only (l0 or plain
+    LMS).  The result is ``(rows, n_max+1)``: the MSD of each row, entry
+    0 being ||s||^2.  Rows are independent, bit for bit: batching only
+    shares the per-step overhead.  Uses scipy, imported on call.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    systems = _as_systems(system)
-    plist = [params] if isinstance(params, AlgoParams) else list(params)
+    rows = np.atleast_2d(_as_systems(systems))
+    R, L = rows.shape
+    one = isinstance(params, AlgoParams)
+    plist = [params] if one else list(params)
     if not plist or not all(isinstance(p, AlgoParams) for p in plist):
         raise TypeError("expected AlgoParams or a sequence of them")
-    by_row = np.atleast_2d(systems)
-    kappa_r = np.repeat([_l0_kappa(p, "tapwise_recursion") for p in plist],
-                        len(by_row))
     mu, alpha = plist[0].mu, plist[0].alpha
     if any((p.mu, p.alpha) != (mu, alpha) for p in plist):
         raise ValueError("batched params may differ in kappa only")
+    if not one and len(plist) != R:
+        raise TypeError(f"expected one AlgoParams per row, not {len(plist)}")
+    kappa_r = np.broadcast_to(
+        [_l0_kappa(p, "tapwise_recursion") for p in plist], R)
     Px, Pv = signal.Px, signal.Pv
-    L = systems.shape[-1]
     _require_stable(L, mu, Px)
     lam = 1.0 - mu * Px
     rho = 1.0 - 2 * mu * Px + 2 * mu ** 2 * Px ** 2
 
-    # one row per (params, system) pair; non-zero taps of all rows are
-    # flattened in row order, with owner[k] the row of tap k
-    rows = np.tile(by_row, (len(plist), 1))
-    R = len(rows)
+    # non-zero taps of all rows are flattened in row order, with owner[k]
+    # the row of tap k
     owner, col = np.nonzero(rows)
     s_nz = rows[owner, col]
     kappa = kappa_r[owner]
@@ -1052,9 +1051,7 @@ def tapwise_recursion(system, params, signal: SignalModel,
             beta = mu ** 2 * Px * (Px * (D[ar] - S0[ar]) + Pv)
             P = grid.step(P, beta)
         m, v, S0 = m_new, v_new, S0_new
-    shape = (() if isinstance(params, AlgoParams) else (len(plist),)) \
-        + (() if systems.ndim == 1 else (len(systems),))
-    return out.reshape(shape + (n_max + 1,))
+    return out
 
 
 def small_tap_mean_curve(s_k: float, n, mu: float, kappa: float, Px: float,

@@ -387,7 +387,10 @@ def _theory_vs_sim(L, Q, trials):
     systems = [gen_system(L, Q, 1, t) for t in range(trials)]
     params = [AlgoParams(variant=L0, mu=mu, kappa=mult * ko, alpha=alpha)
               for mult in (0.0, 0.3, 1.0, 3.0)]
-    tapwise = tapwise_recursion(systems, params, sig, n_iter).mean(axis=1)
+    # one row per (weight, system) pair, weight-major
+    tapwise = tapwise_recursion(
+        np.tile(systems, (4, 1)), [p for p in params for _ in systems], sig,
+        n_iter).reshape(4, trials, -1).mean(axis=1)
     gaps = {k: [] for k in ("steady", "curve", "ensemble", "paper_dl",
                             "paper_iid")}
     for p, curve in zip(params, tapwise):

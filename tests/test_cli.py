@@ -519,6 +519,19 @@ def test_config_file_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("config", ["absent", "Q>L"])
+def test_bad_input_leaves_no_output_directory(tmp_path, capsys, config):
+    """The output directory is made only once the run has validated."""
+    cfg = tmp_path / "cfg.json"
+    if config == "Q>L":
+        write_config(cfg, **{**TINY, "L": 8, "Q": 9})
+    fresh = tmp_path / "fresh"
+    rc = main(["theory", "--config", str(cfg), "--out", str(fresh)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
 def test_load_config_returns_spec(tmp_path):
     cfg = write_config(tmp_path / "ok.json", **TINY, kappa=1e-6)
     spec = load_config(cfg)
@@ -770,6 +783,31 @@ def test_compare_large_table_goes_to_csv(tmp_path, capsys):
     assert all(float(r[3]) == 0.0 for r in rows)
 
 
+def test_compare_makes_its_output_directory(tmp_path, capsys):
+    p1, _ = grid_files(tmp_path, n=300)
+    out = tmp_path / "new" / "dir"
+    assert main(["compare", p1, p1, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "ref_vs_ref_gaps.csv")
+    assert len(rows) == 300
+
+
+def test_write_errors_name_the_target(tmp_path, capsys):
+    """An output error names the file or directory asked for, not the
+    temporary file written beside it, and exits 1."""
+    p1, _ = grid_files(tmp_path, n=300)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["compare", p1, p1, "--out", str(afile)]) == 1
+    err = capsys.readouterr().err
+    assert str(afile) in err and ".tmp" not in err
+
+    (tmp_path / "ref_vs_ref_gaps.csv").mkdir()     # the target is taken
+    assert main(["compare", p1, p1, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / 'ref_vs_ref_gaps.csv'}: " in err
+    assert ".tmp" not in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # odds and ends
 # ---------------------------------------------------------------------------
@@ -847,7 +885,7 @@ def test_unwritable_manifest_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "cannot write" in err and "tiny_manifest.json" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and ".tmp" not in err
     assert not [p.name for p in tmp_path.iterdir()
                 if p.name.endswith(".tmp")]
 
