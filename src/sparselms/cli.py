@@ -71,9 +71,11 @@ def to_db(x):
 def _replacing(path: Path):
     """Write a temporary file beside ``path`` and move it over ``path``
     when the block completes; if the block raises, ``path`` is untouched
-    and the temporary file is removed.  Readers never see a part."""
+    and the temporary file is removed.  Readers never see a part.  The
+    first write into a missing directory makes it."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", newline="") as f:
             yield f
         os.replace(tmp, path)
@@ -109,14 +111,21 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 
 
 def _output_dir(path) -> Path:
-    """``path`` as a writable directory, created if missing."""
+    """``path``, refused unless it can be a writable directory.  What is
+    missing of it is made to find out and removed again, so a run that
+    fails before its first write (:func:`_replacing`) leaves nothing."""
     out = Path(path)
+    missing = [p for p in (out, *out.parents) if not p.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
+        if not os.access(out, os.W_OK):
+            raise CliError(f"output directory {out} is not writable", 1)
     except OSError as e:
         raise CliError(f"cannot create output directory {out}: {e}", 1)
-    if not os.access(out, os.W_OK):
-        raise CliError(f"output directory {out} is not writable", 1)
+    finally:
+        for p in missing:                   # deepest first
+            with contextlib.suppress(OSError):
+                p.rmdir()
     return out
 
 
@@ -197,17 +206,19 @@ class Sweep:
     """What one run sweeps and writes.
 
     ``axis`` is the ExperimentSpec field that varies and ``values`` its
-    values: a sequence, or a function of the base spec (called after
-    :func:`expand` has resolved the base kappa).  ``kappa`` is the rule
-    :func:`expand` applies.  ``curve`` is None for one steady-state sweep
-    file, else the quantity of one learning-curve file per value
-    (``curve.format(value)``).  ``reference`` adds the ZA/RZA reference
-    columns of :func:`_reference_columns`.
+    values: a sequence, or a function of the base spec as :func:`expand`
+    leaves it.  A base kappa of ``"OPTIMAL"`` is resolved at each point,
+    or once on the base when the values are weights or variants; with
+    ``relative`` the weights are multiples of that base kappa.  ``curve``
+    is None for one steady-state sweep file, else the quantity of one
+    learning-curve file per value (``curve.format(value)``).
+    ``reference`` adds the ZA/RZA reference columns of
+    :func:`_reference_columns`.
     """
 
     axis: str
     values: object
-    kappa: str = "given"
+    relative: bool = False
     curve: str | None = None
     reference: bool = False
 
@@ -233,12 +244,12 @@ PRESETS = {
     "exp1": (8e-4, (40.0, 20.0), Sweep("kappa", _exp1_kappas)),
     "exp2": (8e-4, (40.0,),
              Sweep("alpha", [5.6e-4 * 10.0 ** (k / 2.0) for k in range(11)],
-                   "optimal", reference=True)),
-    "exp3": (8e-4, (40.0,), Sweep("Q", _exp3_sparsities, "optimal")),
+                   reference=True)),
+    "exp3": (8e-4, (40.0,), Sweep("Q", _exp3_sparsities)),
     "exp4": (4e-4, (40.0, 20.0),
-             Sweep("kappa", (0.1, 1.0, 10.0), "multiples", "curve_kx{:g}")),
-    "exp5": (4e-4, (40.0,),
-             Sweep("mu", (2e-4, 4e-4), "optimal", "curve_mu{:g}")),
+             Sweep("kappa", (0.1, 1.0, 10.0), relative=True,
+                   curve="curve_kx{:g}")),
+    "exp5": (4e-4, (40.0,), Sweep("mu", (2e-4, 4e-4), curve="curve_mu{:g}")),
 }
 PRESET_NAMES = tuple(PRESETS)
 
@@ -246,31 +257,26 @@ PRESET_NAMES = tuple(PRESETS)
 def expand(base: ExperimentSpec, sweep: Sweep, entry: dict) -> list[tuple]:
     """Turn one sweep into ``(axis value, scalar spec)`` points.
 
-    Each point is ``base`` with ``sweep.axis`` set to the value; its kappa
-    follows the rule ``sweep.kappa``:
-
-    ``"given"``      the base kappa, or the value when the axis is kappa;
-    ``"multiples"``  the value times the base kappa;
-    ``"optimal"``    the closed-form optimum at the point, recorded in
-                     ``entry["kappa_opt_by_<axis>"]`` keyed by the value.
-
-    Under the first two rules a base kappa of ``"OPTIMAL"`` is resolved
-    once, on the base spec, and recorded as ``entry["kappa_opt"]``.
+    Each point is ``base`` with ``sweep.axis`` set to the value (with
+    ``sweep.relative``, kappa set to the value times the base kappa).
+    One weight rule: a base kappa of ``"OPTIMAL"`` is resolved at each
+    point and recorded in ``entry["kappa_opt_by_<axis>"]`` keyed by the
+    value, except when the values are weights (axis ``kappa``) or
+    variants; then it is resolved once, on the base spec, and recorded
+    as ``entry["kappa_opt"]``.  The variants clause makes every variant
+    of a scalar config run at the first variant's weight.
     """
-    axis, values, kappa = sweep.axis, sweep.values, sweep.kappa
-    if kappa != "optimal" and base.kappa == "OPTIMAL":
+    axis, values = sweep.axis, sweep.values
+    if axis in ("kappa", "variants") and base.kappa == "OPTIMAL":
         base = replace(base, kappa=resolve_kappa(base))
         entry["kappa_opt"] = base.kappa
     if callable(values):
         values = values(base)
     points, optima = [], {}
     for v in values:
-        if kappa == "multiples":
-            sp = replace(base, kappa=v * base.kappa)
-        else:
-            sp = replace(base, **{axis: v})
-        if kappa == "optimal":
-            sp = replace(sp, kappa=resolve_kappa(replace(sp, kappa="OPTIMAL")))
+        sp = replace(base, **{axis: v * base.kappa if sweep.relative else v})
+        if sp.kappa == "OPTIMAL":
+            sp = replace(sp, kappa=resolve_kappa(sp))
             optima[f"{v:.17g}"] = sp.kappa
         points.append((v, sp))
     if optima:
@@ -280,20 +286,24 @@ def expand(base: ExperimentSpec, sweep: Sweep, entry: dict) -> list[tuple]:
 
 def _config_sweep(spec: ExperimentSpec) -> Sweep:
     """A config sweeps its one swept parameter into a steady-state file,
-    or, when fully scalar, writes one learning curve per variant."""
+    or, when fully scalar, writes one learning curve per variant.  A
+    repeated value would repeat a key or a file, so it is refused."""
     swept = [f for f in ("mu", "alpha", "kappa")
              if isinstance(getattr(spec, f), tuple)]
     if len(swept) > 1:
         raise CliError(f"config sweeps one parameter at a time, got "
                        f"sweeps on: {', '.join(swept)}", 1)
-    if swept:
-        if len(spec.variants) != 1:
-            raise CliError("a swept config needs exactly one variant", 1)
-        return Sweep(swept[0], getattr(spec, swept[0]),
-                     "optimal" if spec.kappa == "OPTIMAL" else "given")
-    return Sweep("variants", spec.variants,
-                 curve="curve" if len(spec.variants) == 1
-                 else "curve_{.value}")
+    if swept and len(spec.variants) != 1:
+        raise CliError("a swept config needs exactly one variant", 1)
+    axis = swept[0] if swept else "variants"
+    values = getattr(spec, axis)
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise CliError(f"config {axis} value {getattr(v, 'value', v)} "
+                           "repeats", 1)
+    curve = (None if swept else "curve" if len(values) == 1
+             else "curve_{.value}")
+    return Sweep(axis, values, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +454,8 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
     """Run a preset or config in the given mode; returns (manifest|None,
     exit_code).  A ``Path`` is always a config file; a string names a
     preset, or else a config file.  A manifest is produced in experiment
-    mode only.  The output directory is made only once the run and its
-    overrides have validated."""
+    mode only.  The output directory is checked once the run and its
+    overrides have validated, and made by the first file written."""
     if isinstance(preset_or_config, str) and preset_or_config in PRESETS:
         preset = name = preset_or_config
         mu, snrs, sweep = PRESETS[name]
@@ -717,23 +727,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _out_dir(args) -> str:
-    return args.out or os.environ.get(ENV_OUTDIR) or "."
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = args.out or os.environ.get(ENV_OUTDIR) or "."
     try:
         if args.mode == "compare":
             return compare(args.theory_csv, args.sim_csv,
-                           tolerance_db=args.tolerance_db,
-                           out_dir=args.out or os.environ.get(ENV_OUTDIR))
+                           tolerance_db=args.tolerance_db, out_dir=out)
         if args.preset and args.preset not in PRESET_NAMES:
             raise CliError(f"unknown preset {args.preset!r} (expected one "
                            f"of {', '.join(PRESET_NAMES)})", 1)
         target = args.preset if args.preset else Path(args.config)
         _, code = run_experiment(
-            target, _out_dir(args), mode=args.mode, seed=args.seed,
+            target, out, mode=args.mode, seed=args.seed,
             trials=args.trials, scale=args.scale,
             snr_convention=args.snr_convention, workers=args.workers)
         return code

@@ -519,17 +519,49 @@ def test_config_file_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("config", ["absent", "Q>L"])
-def test_bad_input_leaves_no_output_directory(tmp_path, capsys, config):
-    """The output directory is made only once the run has validated."""
+UNSTABLE = {**TINY, "L": 8, "mu": 5.0, "kappa": 1e-6, "iterations": 100}
+
+
+@pytest.mark.parametrize("config, mode, fields", [
+    ("absent", "theory", None),
+    ("Q>L", "theory", {**TINY, "L": 8, "Q": 9}),
+    ("memory", "simulate", {**TINY, "kappa": 0.0, "trials": 1e11}),
+    ("stability", "theory", UNSTABLE),
+    ("optimal", "experiment", {**UNSTABLE, "kappa": "OPTIMAL"}),
+    ("all-zero", "theory", None)],
+    ids=["absent", "Q>L", "memory", "stability", "optimal", "all-zero"])
+def test_bad_input_leaves_no_output_directory(tmp_path, capsys, config,
+                                              mode, fields):
+    """The output directory is made by the first file written, so a run
+    refused before then, by its config or by a check made while it
+    runs, leaves none."""
     cfg = tmp_path / "cfg.json"
-    if config == "Q>L":
-        write_config(cfg, **{**TINY, "L": 8, "Q": 9})
-    fresh = tmp_path / "fresh"
-    rc = main(["theory", "--config", str(cfg), "--out", str(fresh)])
+    if fields is not None:
+        write_config(cfg, **fields)
+    source = ["--preset", "exp1", "--scale", "1e-9"] \
+        if config == "all-zero" else ["--config", str(cfg)]
+    fresh = tmp_path / "fresh" / "out"
+    rc = main([mode, *source, "--out", str(fresh)])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
-    assert not fresh.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("fields, repeat", [
+    (dict(kappa=[1e-6, 2e-6, 1e-6]), "kappa value 1e-06"),
+    (dict(mu=[1e-3, 1e-3]), "mu value 0.001"),
+    (dict(kappa=0.0, variants=["L0LMS", "LMS", "L0LMS"]),
+     "variants value L0LMS")], ids=["kappa", "mu", "variants"])
+def test_repeated_value_exits_1(tmp_path, capsys, fields, repeat):
+    """A repeated sweep value would repeat a key of the sweep file, and a
+    repeated variant would write its curve twice: both are refused
+    before anything is written."""
+    cfg = write_config(tmp_path / "rep.json", **{**TINY, **fields})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: config {repeat} repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_returns_spec(tmp_path):
@@ -1005,3 +1037,101 @@ def test_theory_csvs_match_golden(tmp_path):
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in tmp_path.iterdir()}
     assert got == THEORY_GOLDEN
+
+
+# sha256 of the JSON text of each preset's expansion at ``--scale 0.25``:
+# the ``[value, kappa]`` pair of every point, then the ``kappa_opt`` or
+# ``kappa_opt_by_<axis>`` records the expansion fills
+EXPANSION_GOLDEN = {
+    "exp1_20dB":
+        "6325cc781cf54aa49627f40fd1bb01b45577719e6e2edcf907adfc9d4011638d",
+    "exp1_40dB":
+        "ca0346815eced7ac228b5b718b87bc4077c7f9b14eb2bd0918f5fd0208cebc3b",
+    "exp2_40dB":
+        "0d176e4d00f8484671d2d5550b3caaa8aa0d29e7a8440272c55447848cac3206",
+    "exp3_40dB":
+        "e906d236aa9fdadd382c1dfbf823d006e402efd9308b481e33901f920132ceca",
+    "exp4_20dB":
+        "1432cace02a04744a5b306b8e85232fbfba9066ff218dc53f142ba38665b8119",
+    "exp4_40dB":
+        "d84fdc13d537c3c1ba64021afebfa2328f13f7908f677b00a82d15f84c5523a2",
+    "exp5_40dB":
+        "4e64c388c988568fec3899f0e97b56d2f9e75d3b3d977dd48df2c1f5096ef34f",
+}
+
+
+def test_preset_expansions_match_golden(tmp_path, monkeypatch):
+    """Where each preset point's weight comes from, as ``cli.expand``
+    works it out on the run path of ``theory --preset``, is unchanged
+    from the recorded goldens (Python 3.11.7, numpy 2.4.6, scipy 1.17.1,
+    x86_64)."""
+    got, real = {}, cli.expand
+
+    def spy(base, sweep, entry):
+        points = real(base, sweep, entry)
+        text = json.dumps([[v, sp.kappa] for v, sp in points] + [entry],
+                          sort_keys=True)
+        got[f"{base.snr_db:g}dB"] = text
+        return points
+
+    monkeypatch.setattr(cli, "expand", spy)
+    digests = {}
+    for p in cli.PRESET_NAMES:
+        got.clear()
+        assert main(["theory", "--preset", p, "--scale", "0.25",
+                     "--out", str(tmp_path)]) == 0
+        digests.update({f"{p}_{label}": hashlib.sha256(t.encode()).hexdigest()
+                        for label, t in got.items()})
+    assert digests == EXPANSION_GOLDEN
+
+
+GOLDEN_CONFIGS = {
+    "variants": dict(kappa="OPTIMAL",
+                     variants=["L0LMS", "LMS", "ZALMS", "RZALMS"]),
+    "mu_sweep": dict(mu=[2e-3, 5e-3], kappa="OPTIMAL"),
+    "kappa_sweep": dict(kappa=[0.0, 1e-6, 1e-5]),
+}
+
+# sha256 of every file ``experiment --config`` writes for GOLDEN_CONFIGS,
+# with the manifest's timestamp blanked
+CONFIG_GOLDEN = {
+    "kappa_sweep_40dB_kappa_sweep.csv":
+        "f5e95cec0a0b6ef836af8bdb17b5ed39908f8e726b82e072fd83e803829ac703",
+    "kappa_sweep_manifest.json":
+        "359da16408b20b172544c4ded700522ddf9b8e006294fd5e928e17237194d352",
+    "mu_sweep_40dB_mu_sweep.csv":
+        "b79e9b8cfac7f002059dbe2050017f3903297dbe04bc8b6dabe209fc9b4c7128",
+    "mu_sweep_manifest.json":
+        "3d71fb6c7941c355e8f68e9de4ee4119debeea8bb77f0aa40e73bca056353fd7",
+    "variants_40dB_curve_L0LMS.csv":
+        "1444520eba51c47f8acda3acaac912c0a2158f7e56e6cfc093c0069a6cf0ceb2",
+    "variants_40dB_curve_LMS.csv":
+        "cc6475013e7539fa5a3e36f42daffc25524afc663f40faef4f476666626c144b",
+    "variants_40dB_curve_RZALMS.csv":
+        "8d01ebde2ddf27b15b45ce35c65b345a68afb7246e95bcd560e8d057c9cdf984",
+    "variants_40dB_curve_ZALMS.csv":
+        "d957cf79f0c302a5a17d4fa64dc4de0a2af61a4cc67a812048b7dfed29d0f3b6",
+    "variants_manifest.json":
+        "72e26c5c56d75930b3ca7f4730087798cfbe057c142e6f2c6969b6c9b339f622",
+}
+
+
+def test_config_experiments_match_golden(tmp_path):
+    """Every file of a scalar four-variant ``"OPTIMAL"`` config, an
+    ``"OPTIMAL"`` mu sweep and a kappa sweep at L=16 and 400 steps is
+    byte-identical to the recorded goldens (Python 3.11.7, numpy 2.4.6,
+    scipy 1.17.1, x86_64); the manifest is compared with its timestamp
+    blanked."""
+    base = dict(L=16, Q=2, mu=5e-3, alpha=10.0, snr_db=40.0, trials=2,
+                iterations=400, seed=1, variants=["L0LMS"])
+    out = tmp_path / "out"
+    for name, fields in GOLDEN_CONFIGS.items():
+        cfg = write_config(tmp_path / f"{name}.json", **{**base, **fields})
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    got = {}
+    for f in sorted(out.iterdir()):
+        data = f.read_bytes()
+        if f.name.endswith("_manifest.json"):
+            data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+        got[f.name] = hashlib.sha256(data).hexdigest()
+    assert got == CONFIG_GOLDEN
