@@ -42,7 +42,7 @@ The input model fixes how the input stream becomes regressors.
 so consecutive regressors share L-1 samples.  ``"iid"`` fills each
 regressor with L fresh samples: regressor n holds stream draws
 [n*L, (n+1)*L).  Streams are drawn in blocks of about 2^14 samples
-over all rows (at least one regressor each), each block's noise with
+over all rows (at least eight regressors each), each block's noise with
 its regressors; blocks bound memory and do not change the draws.  A delay-line
 regressor is a reversed view of its block.  The i.i.d. model is the one
 the independence assumption of the theory describes.
@@ -83,6 +83,7 @@ DIVERGENCE_FACTOR = 1e6
 
 INPUT_MODELS = ("delay_line", "iid")
 _BLOCK = 1 << 14            # samples per stream block, all rows together
+_BLOCK_REGRESSORS = 8       # but at least this many regressors per row
 # bytes of one trial's two stream generators: RSS grew 1.2-1.6 kB per trial
 _GENERATOR_BYTES = 1600
 
@@ -340,18 +341,21 @@ class Trajectory:
 
 def require_memory(spec: ExperimentSpec, rows: int) -> None:
     """Refuse a run of ``rows`` series whose arrays cannot fit.  Each row
-    holds its two stream generators, ``iterations + 1`` deviations and
-    eleven L-wide rows: the system twice (the drawn ``(rows, L)`` array
-    and a worker's copy of its shard), the weights, their running sum,
-    the update, deviation and attraction buffers, the attractor's two
-    temporaries and two stream blocks (the one in use and the next).
+    holds its two stream generators, ``iterations + 1`` deviations, nine
+    L-wide rows (the system twice: the drawn ``(rows, L)`` array and a
+    worker's copy of its shard; the weights, their running sum, the
+    update, deviation and attraction buffers and the attractor's two
+    temporaries) and two stream blocks, the one in use and the next: an
+    L-wide row each on the delay line, eight regressors each when i.i.d.
     The per-block noise, desired outputs, new samples and their copies
-    add six arrays of at most ``rows + 2^14`` doubles.  Raises ValueError
-    naming the estimate when it exceeds physical memory; without
-    ``os.sysconf`` the check is skipped."""
+    add six arrays of at most ``8 * rows + 2^14`` doubles.  Raises
+    ValueError naming the estimate when it exceeds physical memory;
+    without ``os.sysconf`` the check is skipped."""
     n_iter = iteration_count(spec)
+    block = _BLOCK_REGRESSORS if spec.input_model == "iid" else 1
     need = (rows * _GENERATOR_BYTES
-            + 8 * (rows * (n_iter + 1 + 11 * spec.L) + 6 * (rows + _BLOCK)))
+            + 8 * (rows * (n_iter + 1 + (9 + 2 * block) * spec.L)
+                   + 6 * (_BLOCK_REGRESSORS * rows + _BLOCK)))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -422,9 +426,9 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
     mu = np.full(rows, params.mu)               # 0 once a row diverges
 
     upd, diff, pull = np.empty((3, rows, L))
-    e, d2 = np.empty((2, rows))
+    e = np.empty(rows)
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
-    block = max(1, _BLOCK // (rows * (L if iid else 1)))
+    block = max(_BLOCK_REGRESSORS, _BLOCK // (rows * (L if iid else 1)))
 
     n = 0
     while n < n_iter and not diverged_at.all():
@@ -449,13 +453,12 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
             W += np.multiply(e[:, None], x, out=upd)
             if weight:
                 W += pull
-            np.vecdot(np.subtract(W, S, out=diff), diff, out=d2)
-            dev[:, n] = d2
+            np.vecdot(np.subtract(W, S, out=diff), diff, out=dev[:, n])
             if n >= record_from:
                 wsum += W
-            if sum(d2.tolist()) <= safe:        # NaN and inf fall through
+            if sum(dev[:, n].tolist()) <= safe:     # NaN, inf fall through
                 continue
-            bad = (np.vecdot(W, W) > limit) | ~np.isfinite(d2)
+            bad = (np.vecdot(W, W) > limit) | ~np.isfinite(dev[:, n])
             if bad.any():
                 diverged_at[bad] = n
                 W[bad] = mu[bad] = 0.0  # g(0) = 0: the row stays at w = 0

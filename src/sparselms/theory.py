@@ -82,12 +82,9 @@ class SignalModel:
     Px: float
     Pv: float
     snr_db: float | None = None
-    snr_convention: SnrConvention = SnrConvention.OUTPUT_REFERRED
     ref_power: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_convention",
-                           SnrConvention(self.snr_convention))
         if not (0 < self.Px < math.inf and 0 < self.Pv < math.inf):
             raise ValueError(f"Px and Pv must be finite and > 0, got "
                              f"Px={self.Px}, Pv={self.Pv}")
@@ -132,8 +129,7 @@ class SignalModel:
         except OverflowError:
             raise ValueError(f"the noise power of snr_db={snr_db} overflows "
                              f"at Px={Px}, sigma_s={sigma_s}") from None
-        return cls(Px=Px, Pv=Pv, snr_db=snr_db, snr_convention=convention,
-                   ref_power=ref)
+        return cls(Px=Px, Pv=Pv, snr_db=snr_db, ref_power=ref)
 
 
 @dataclass(frozen=True)
@@ -265,10 +261,6 @@ class ConvergenceModel:
     Px: float
     Pv: float
     s_norm_sq: float
-
-    @property
-    def A(self) -> np.ndarray:
-        return np.array([[self.a00, self.a01], [self.a10, self.a11]])
 
     def msd(self, n) -> np.ndarray | float:
         """Closed-form learning curve at iteration(s) n."""

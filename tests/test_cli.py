@@ -376,6 +376,21 @@ def test_divergent_simulation_exits_2(tmp_path, capsys):
     assert float(rows[-1][1]) > 1e3
 
 
+def test_divergent_sweep_point_writes_nan(tmp_path, capsys):
+    """A mu sweep whose second point diverges keeps the first point's
+    estimate, writes NaN for the second's estimate and CI, and exits 2."""
+    cfg = write_config(tmp_path / "blow.json", L=16, Q=2, mu=[2e-3, 0.5],
+                       alpha=1.0, kappa=0.0, snr_db=40.0, trials=2,
+                       iterations=2000, seed=1, variants=["LMS"])
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "divergence detected" in capsys.readouterr().err
+    header, rows = read_csv(tmp_path / "blow_40dB_mu_sweep_sim.csv")
+    assert header == ["mu", "msd_sim", "msd_sim_ci", "msd_sim_db"]
+    assert all(math.isfinite(float(c)) for c in rows[0][1:])
+    assert rows[1][1:] == ["nan", "nan", "nan"]
+
+
 # ---------------------------------------------------------------------------
 # validation failures -> exit 1
 # ---------------------------------------------------------------------------
@@ -922,6 +937,61 @@ def test_unwritable_manifest_exits_1(tmp_path, capsys):
                 if p.name.endswith(".tmp")]
 
 
+def test_interrupted_run_leaves_no_stale_manifest(tmp_path):
+    """A run removes its old manifest before it writes: a seed-7 rerun
+    stopped at its second Monte Carlo point has replaced the first curve,
+    and leaves no seed-1 manifest that would list that curve as its own."""
+    cfg = write_config(tmp_path / "tiny.json", L=16, Q=2, mu=5e-3,
+                       alpha=10.0, kappa="OPTIMAL", snr_db=40.0, trials=2,
+                       iterations=400, seed=1,
+                       variants=["L0LMS", "LMS", "ZALMS"])
+    out = tmp_path / "out"
+    argv = ["experiment", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    manifest = out / "tiny_manifest.json"
+    curve = out / "tiny_40dB_curve_L0LMS.csv"
+    assert RunManifest.load(manifest).spec.seed == 1
+    seed1 = curve.read_bytes()
+    real_monte_carlo, calls = cli.monte_carlo, []
+
+    def interrupted(spec, workers=1):
+        calls.append(spec)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_monte_carlo(spec, workers=workers)
+
+    with unittest.mock.patch.object(cli, "monte_carlo", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        main(argv + ["--seed", "7"])
+    assert curve.read_bytes() != seed1
+    assert not manifest.exists()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def _written_files(out):
+    """The bytes of every file in ``out``, manifest timestamps blanked."""
+    return {f.name: re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""',
+                           f.read_bytes())
+            for f in sorted(out.iterdir())}
+
+
+def test_experiment_files_do_not_depend_on_workers(tmp_path):
+    """The determinism contract at the command line: a four-variant
+    config writes the same bytes with ``--workers 1`` and ``--workers 2``
+    (three trials, so two workers get unequal shards)."""
+    cfg = write_config(tmp_path / "four.json", L=16, Q=2, mu=5e-3,
+                       alpha=10.0, kappa="OPTIMAL", snr_db=40.0, trials=3,
+                       iterations=400, seed=2,
+                       variants=["L0LMS", "LMS", "ZALMS", "RZALMS"])
+    got = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["experiment", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 0
+        got.append(_written_files(out))
+    assert len(got[0]) == 5 and got[0] == got[1]
+
+
 def _reference_csv(header, columns):
     """The bytes of the per-cell writer ``_write_csv`` replaced: one
     ``format()`` per cell, rows through ``csv.writer``."""
@@ -1128,10 +1198,6 @@ def test_config_experiments_match_golden(tmp_path):
     for name, fields in GOLDEN_CONFIGS.items():
         cfg = write_config(tmp_path / f"{name}.json", **{**base, **fields})
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
-    got = {}
-    for f in sorted(out.iterdir()):
-        data = f.read_bytes()
-        if f.name.endswith("_manifest.json"):
-            data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
-        got[f.name] = hashlib.sha256(data).hexdigest()
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in _written_files(out).items()}
     assert got == CONFIG_GOLDEN

@@ -417,6 +417,26 @@ def test_no_stream_block_after_every_row_diverged():
     assert counts[0] == counts[1] > 10
 
 
+def test_iid_stream_blocks_hold_several_regressors():
+    """An i.i.d. stream block holds at least eight regressors per row even
+    where 2^14 samples hold fewer: at L=1000 and 10 rows, 24 steps draw
+    three blocks of input and noise after the empty warm start, not one
+    pair per step."""
+    spec = small_spec(L=1000, Q=100, trials=10, iterations=24,
+                      input_model="iid")
+    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
+               for t in range(spec.trials)]
+    real_draw, sizes = simulate._draw, []
+
+    def counted(rngs, n, scale):
+        sizes.append(n)
+        return real_draw(rngs, n, scale)
+
+    with mock.patch.object(simulate, "_draw", counted):
+        run_trials(spec, systems)
+    assert sizes == [0] + [8 * spec.L, 8] * 3
+
+
 # ---------------------------------------------------------------------------
 # monte_carlo
 # ---------------------------------------------------------------------------
