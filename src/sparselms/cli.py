@@ -83,6 +83,16 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+@contextlib.contextmanager
+def _write_errors(path: Path):
+    """An OSError in the block exits 1 as ``cannot write <path>: ...``,
+    naming the target, not the temporary file beside it."""
+    try:
+        yield
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}", 1)
+
+
 _CSV_BLOCK = 1024               # rows formatted by one ``%``
 
 
@@ -99,15 +109,11 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     row = ",".join("%d" if c in ("n", "Q") else
                    "%.4f" if c.endswith("_db") else "%.17g"
                    for c in header) + "\r\n"
-    try:
-        with _replacing(path) as f:
-            csv.writer(f).writerow(header)
-            for i in range(0, max(lengths, default=0), _CSV_BLOCK):
-                rows = list(zip(*(c[i:i + _CSV_BLOCK] for c in columns)))
-                f.write(row * len(rows) % tuple(chain.from_iterable(rows)))
-    except OSError as e:
-        # the target, not the temporary file beside it
-        raise CliError(f"cannot write {path}: {e.strerror or e}", 1)
+    with _write_errors(path), _replacing(path) as f:
+        csv.writer(f).writerow(header)
+        for i in range(0, max(lengths, default=0), _CSV_BLOCK):
+            rows = list(zip(*(c[i:i + _CSV_BLOCK] for c in columns)))
+            f.write(row * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _output_dir(path) -> Path:
@@ -478,10 +484,8 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
     run = _Run(mode, _output_dir(out_dir), workers)
     mpath = run.out / f"{name}_manifest.json"
     if mode == "experiment":        # it would name files this run replaces
-        try:
+        with _write_errors(mpath):
             mpath.unlink(missing_ok=True)
-        except OSError as e:
-            raise CliError(f"cannot write {mpath}: {e.strerror or e}", 1)
     for base in bases:
         if base.Pv is not None:             # an explicit Pv is the noise
             label = f"Pv{base.Pv:g}"
@@ -512,10 +516,8 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
             timestamp=datetime.now(timezone.utc).isoformat(),
             preset=preset, spec=spec, resolved=resolved,
             files=tuple(run.files))
-        try:
+        with _write_errors(mpath):
             manifest.save(mpath)
-        except OSError as e:
-            raise CliError(f"cannot write {mpath}: {e.strerror or e}", 1)
         print(f"wrote {mpath}")
     if run.diverged:
         print("divergence detected in at least one Monte Carlo point",

@@ -10,6 +10,7 @@ the single-step reference that the batched Monte Carlo engine of
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,14 @@ class AlgoParams:
     variant : Variant
         Which update rule to run.
     mu : float
-        Step size, > 0.
+        Step size, finite and > 0.
     kappa : float
-        Zero-point attraction weight, >= 0 (plain LMS ignores it).
+        Zero-point attraction weight, finite and >= 0 (plain LMS ignores
+        it).
     alpha : float
-        Attractor shape, > 0: the l0 attractor acts on ``|t| <= 1/alpha``;
-        for RZALMS it is the reweighting constant epsilon.  ZA ignores it.
+        Attractor shape, finite and > 0: the l0 attractor acts on
+        ``|t| <= 1/alpha``; for RZALMS it is the reweighting constant
+        epsilon.  ZA ignores it.
     """
 
     variant: Variant
@@ -49,13 +52,15 @@ class AlgoParams:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, "
+                             f"got {self.kappa}")
         if (self.variant in (Variant.L0LMS, Variant.RZALMS)
-                and not self.alpha > 0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+                and not 0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and > 0, "
+                             f"got {self.alpha}")
 
 
 def _as_systems(systems, L: int | None = None) -> np.ndarray:

@@ -32,15 +32,15 @@ from numpy.polynomial.legendre import leggauss
 from .kernels import AlgoParams, Variant, _as_systems, _attract_l0
 
 __all__ = [
-    "SnrConvention", "SignalModel", "TapClassification", "DeltaSet",
-    "AttractionStrengths", "BetaSet", "EtaSet", "SteadyStateReport",
-    "ConvergenceModel", "ZASteadyReport", "AccelerationReport",
-    "StabilityError", "ConsistencyError", "DegenerateSpectrumError",
-    "ParameterRangeError", "deltas", "classify", "strengths", "mu_max",
-    "lms_theory", "steady_bias", "betas", "etas", "solve_omega",
-    "l0_steady_msd", "optimal_kappa", "approx_min_msd", "za_steady_msd",
-    "convergence_model", "exact_recursion", "tapwise_recursion",
-    "small_tap_mean_curve", "acceleration_check",
+    "AccelerationReport", "AttractionStrengths", "BetaSet",
+    "ConsistencyError", "ConvergenceModel", "DegenerateSpectrumError",
+    "DeltaSet", "ParameterRangeError", "SignalModel", "SnrConvention",
+    "StabilityError", "SteadyStateReport", "TapClassification",
+    "ZASteadyReport", "acceleration_check", "approx_min_msd", "betas",
+    "classify", "convergence_model", "deltas", "l0_steady_msd",
+    "exact_recursion", "lms_theory", "mu_max", "optimal_kappa",
+    "small_tap_mean_curve", "solve_omega", "steady_bias", "strengths",
+    "tapwise_recursion", "za_steady_msd",
 ]
 
 _SQRT_8_PI = math.sqrt(8.0 / math.pi)
@@ -190,20 +190,6 @@ class BetaSet:
 
 
 @dataclass(frozen=True)
-class EtaSet:
-    """Constants of the sparse-limit approximations and of the stable
-    beta recombinations."""
-
-    eta0: float
-    eta1: float
-    eta2: float
-    eta3: float
-    eta4: float
-    eta5: float
-    eta6: float
-
-
-@dataclass(frozen=True)
 class SteadyStateReport:
     """Steady-state summary at one operating point.  The per-tap bias
     is :func:`steady_bias` of the coefficient vector."""
@@ -233,16 +219,15 @@ class ConvergenceModel:
     closed-form solution  D_n = c1*lam1^n + c2*lam2^n + c3*lam3^n + d_inf.
 
     ``lambda1`` is the dominant (largest) of the two recursion eigenvalues
-    so that the attraction-free limit keeps only the ``c1`` mode.
+    so that the attraction-free limit keeps only the ``c1`` mode.  Of the
+    recursion it keeps the diagonal: ``a00`` = 1 - mu*Px*delta_L is the
+    plain-LMS rate, ``a11`` the zero-tap one.  ``L``, ``Px`` and
+    ``s_norm_sq`` (the starting deviation) are kept for
+    :func:`acceleration_check`.
     """
 
     a00: float
-    a01: float
-    a10: float
     a11: float
-    b00_hat: float
-    b01_hat: float
-    b1_hat: float
     lambda1: float
     lambda2: float
     lambda3: float
@@ -250,16 +235,8 @@ class ConvergenceModel:
     c2: float
     c3: float
     d_inf: float
-    omega: float
-    condition_number: float
-    # generating parameters, kept for downstream checks
     L: int
-    Q: int
-    mu: float
-    kappa: float
-    alpha: float
     Px: float
-    Pv: float
     s_norm_sq: float
 
     def msd(self, n) -> np.ndarray | float:
@@ -440,10 +417,10 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
 # steady state
 # ---------------------------------------------------------------------------
 
-def _beta_terms(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
-                mu: float, alpha: float, Px: float):
-    """beta0 and the intermediate factors e1..e4 of beta1 = e1*(e2+e3+e4)
-    and beta2 = 2*e1*sqrt(e2*e3); the e's are also eta1..eta4."""
+def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
+          alpha: float, Px: float, Pv: float) -> BetaSet:
+    """Constants of the steady-state MSD as a function of the attraction
+    weight, with cancellation-free combinations precomputed."""
     DL, DQ, D0, D0p = d.as_tuple()
     G = st.G
     b0 = mu * Px * D0p * DL * G \
@@ -451,19 +428,12 @@ def _beta_terms(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
     if b0 == 0.0:
         raise ParameterRangeError(
             "degenerate attraction constants (beta0 = 0)")
+    # beta1 = e1*(e2+e3+e4) and beta2 = 2*e1*sqrt(e2*e3), so beta1 -+ beta2
+    # collapse to squares
     e1 = 1.0 / (mu ** 2 * Px ** 2 * DL)
     e2 = (L - Q) * b0 / (DL * DQ)
     e3 = 4 * alpha ** 2 * (L - Q) * D0 * DQ / (math.pi * DL)
     e4 = G * D0p * DL / DQ
-    return b0, e1, e2, e3, e4
-
-
-def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
-          alpha: float, Px: float, Pv: float) -> BetaSet:
-    """Constants of the steady-state MSD as a function of the attraction
-    weight, with cancellation-free combinations precomputed."""
-    # through the factors of _beta_terms, beta1 -+ beta2 collapse to squares
-    b0, e1, e2, e3, e4 = _beta_terms(d, st, L, Q, mu, alpha, Px)
     b1 = e1 * (e2 + e3 + e4)
     b2 = 2 * e1 * math.sqrt(e2 * e3)
     b3 = 2 * mu ** 3 * Px ** 2 * Pv * d.delta_0 * d.delta_L / b0
@@ -471,20 +441,6 @@ def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
     summ = e1 * ((math.sqrt(e2) + math.sqrt(e3)) ** 2 + e4)
     return BetaSet(beta0=b0, beta1=b1, beta2=b2, beta3=b3,
                    diff=diff, summ=summ)
-
-
-def etas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
-         alpha: float, Px: float, Pv: float) -> EtaSet:
-    """Constants of the sparse-limit MSD approximations; eta1..eta4 are
-    the factors e1..e4 of :func:`betas`."""
-    DL, D0 = d.delta_L, d.delta_0
-    _, e1, e2, e3, e4 = _beta_terms(d, st, L, Q, mu, alpha, Px)
-    return EtaSet(
-        eta0=16 * Pv * alpha ** 2 * D0 ** 2 / (math.pi * mu * Px ** 2 * DL ** 3),
-        eta1=e1, eta2=e2, eta3=e3, eta4=e4,
-        eta5=4 * alpha ** 2 * mu * Px * L + 2 * st.G,
-        eta6=16 * alpha ** 2 * L / (math.pi * DL),
-    )
 
 
 def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
@@ -632,9 +588,10 @@ def approx_min_msd(L: int, Q: int, params: AlgoParams,
             f"sparse approximation stretched: Q/L={Q/L:.3f}, "
             f"(Q+2)*mu*Px/2={(Q+2)*mu*Px/2:.3f} (want both <= 0.1)",
             RuntimeWarning, stacklevel=2)
-    e = etas(d, st, L, Q, mu, alpha, Px, Pv)
-    root = math.sqrt(e.eta5 ** 2 + 32 * alpha ** 2 * L * st.G / math.pi)
-    return d_lms * (1.0 - e.eta6 / (e.eta5 + e.eta6 + root))
+    eta5 = 4 * alpha ** 2 * mu * Px * L + 2 * st.G
+    eta6 = 16 * alpha ** 2 * L / (math.pi * DL)
+    root = math.sqrt(eta5 ** 2 + 32 * alpha ** 2 * L * st.G / math.pi)
+    return d_lms * (1.0 - eta6 / (eta5 + eta6 + root))
 
 
 def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
@@ -702,9 +659,8 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
     # betas does not read the system energy
     st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
                                  norm_sq=math.nan)
-    d_lim = deltas(L, Q, mu, Px)
-    b_lim = betas(d_lim, st_lim, L, Q, mu, alpha_lim, Px, Pv)
-    ko, _, _ = optimal_kappa(b_lim, d_lim, L, mu, Pv)
+    b_lim = betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv)
+    ko, _, _ = optimal_kappa(b_lim, d, L, mu, Pv)
     rho_opt = 2 * alpha_lim * ko
     return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y, rho_opt=rho_opt)
 
@@ -713,7 +669,16 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
 # transient
 # ---------------------------------------------------------------------------
 
-def _transient_pieces(L, Q, mu, kappa, alpha, Px, Pv, st):
+def _transient_pieces(system_or_strengths, params: AlgoParams,
+                      signal: SignalModel, name: str):
+    """The point both transient entry points read: ``(L, strengths,
+    deltas, A, (b00, b01, b1))`` with ``A`` the 2x2 recursion matrix and
+    the b's its forcing, b01 the part that decays as delta_0^n."""
+    kappa = _l0_kappa(params, name)
+    L, Q, st = _strengths_of(system_or_strengths, params.alpha)
+    mu, alpha = params.mu, params.alpha
+    Px, Pv = signal.Px, signal.Pv
+    _require_stable(L, mu, Px)
     d = deltas(L, Q, mu, Px)
     DL, DQ, D0, D0p = d.as_tuple()
     om = solve_omega(d, st, L, Q, mu, kappa, alpha, Px, Pv)
@@ -729,7 +694,7 @@ def _transient_pieces(L, Q, mu, kappa, alpha, Px, Pv, st):
     b01 = -2 * kappa * D0 * (kappa * st.G / (mu * Px) + st.G_prime)
     b1 = (L - Q) * (mu ** 2 * Px * Pv + 4 * alpha ** 2 * kappa ** 2
                     - _SQRT_8_PI * alpha * kappa * om * D0)
-    return d, om, (a00, a01, a10, a11), (b00, b01, b1)
+    return L, st, d, np.array([[a00, a01], [a10, a11]]), (b00, b01, b1)
 
 
 def convergence_model(system_or_strengths, params: AlgoParams,
@@ -744,15 +709,10 @@ def convergence_model(system_or_strengths, params: AlgoParams,
     DegenerateSpectrumError (the step-by-step recursion remains valid in
     that regime — use :func:`exact_recursion`).
     """
-    kappa = _l0_kappa(params, "convergence_model")
-    L, Q, st = _strengths_of(system_or_strengths, params.alpha)
-    _require_stable(L, params.mu, signal.Px)
+    L, st, d, A, (b00, b01, b1) = _transient_pieces(
+        system_or_strengths, params, signal, "convergence_model")
     _low_snr_warning(signal)
-    mu, alpha = params.mu, params.alpha
-    Px, Pv = signal.Px, signal.Pv
-    d, om, (a00, a01, a10, a11), (b00, b01, b1) = _transient_pieces(
-        L, Q, mu, kappa, alpha, Px, Pv, st)
-
+    (a00, a01), (a10, a11) = A.tolist()
     tr = a00 + a11
     disc_sq = (a00 - a11) ** 2 + 4 * a01 * a10
     disc = math.sqrt(max(disc_sq, 0.0))
@@ -766,7 +726,6 @@ def convergence_model(system_or_strengths, params: AlgoParams,
             f"transient modes nearly coincide (lambdas = {lam1}, {lam2}, "
             f"{lam3}); evaluate the recursion directly instead")
 
-    A = np.array([[a00, a01], [a10, a11]])
     d_inf = float(np.linalg.solve(np.eye(2) - A,
                                   np.array([b00, b1]))[0])
     c3 = (lam3 - a11) * b01 / ((lam3 - lam1) * (lam3 - lam2))
@@ -780,13 +739,9 @@ def convergence_model(system_or_strengths, params: AlgoParams,
     c1, c2 = np.linalg.solve(M, np.array([D0_ - c3 - d_inf,
                                           D1_ - c3 * lam3 - d_inf]))
     return ConvergenceModel(
-        a00=a00, a01=a01, a10=a10, a11=a11,
-        b00_hat=b00, b01_hat=b01, b1_hat=b1,
-        lambda1=lam1, lambda2=lam2, lambda3=lam3,
+        a00=a00, a11=a11, lambda1=lam1, lambda2=lam2, lambda3=lam3,
         c1=float(c1), c2=float(c2), c3=float(c3), d_inf=d_inf,
-        omega=om, condition_number=cond,
-        L=L, Q=Q, mu=mu, kappa=kappa, alpha=alpha, Px=Px, Pv=Pv,
-        s_norm_sq=st.norm_sq)
+        L=L, Px=signal.Px, s_norm_sq=st.norm_sq)
 
 
 def exact_recursion(system_or_strengths, params: AlgoParams,
@@ -800,14 +755,8 @@ def exact_recursion(system_or_strengths, params: AlgoParams,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    kappa = _l0_kappa(params, "exact_recursion")
-    L, Q, st = _strengths_of(system_or_strengths, params.alpha)
-    _require_stable(L, params.mu, signal.Px)
-    mu, alpha = params.mu, params.alpha
-    Px, Pv = signal.Px, signal.Pv
-    d, om, (a00, a01, a10, a11), (b00, b01, b1) = _transient_pieces(
-        L, Q, mu, kappa, alpha, Px, Pv, st)
-    A = np.array([[a00, a01], [a10, a11]])
+    _, st, d, A, (b00, b01, b1) = _transient_pieces(
+        system_or_strengths, params, signal, "exact_recursion")
     u = np.array([st.norm_sq, 0.0])
     out = np.empty((n_max + 1, 2))
     out[0] = u

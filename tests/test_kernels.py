@@ -231,3 +231,18 @@ def test_algoparams_validation():
     assert [f.name for f in fields(AlgoParams)] == ["variant", "mu", "kappa",
                                                     "alpha"]
 
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("name", ["mu", "kappa", "alpha"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_algoparams_refuses_non_finite(variant, name, value):
+    """A NaN or infinite step size or weight is refused for every variant,
+    and a non-finite shape wherever the shape is read (l0 and RZA), rather
+    than running plain LMS or producing NaN weights later."""
+    kw = {"mu": 1e-3, "kappa": 1e-4, "alpha": 10.0, name: value}
+    if name == "alpha" and variant in (Variant.LMS, Variant.ZALMS):
+        AlgoParams(variant=variant, **kw)               # the shape is unread
+        return
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        AlgoParams(variant=variant, **kw)
+

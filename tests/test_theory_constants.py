@@ -10,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselms import (
+    AlgoParams,
     AttractionStrengths,
+    SignalModel,
     StabilityError,
+    Variant,
+    approx_min_msd,
     classify,
     deltas,
     lms_theory,
     mu_max,
     strengths,
+    za_steady_msd,
 )
 from sparselms.kernels import _attract_l0 as _g_l0
-from sparselms.theory import betas, etas, solve_omega
+from sparselms.theory import betas, solve_omega
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
 
@@ -195,13 +200,21 @@ def test_betas_difference_identity():
     assert b.diff == pytest.approx(b.beta1 - b.beta2, rel=1e-3)
 
 
-def test_etas_recomputed():
-    f, d, stg = _flagship_pieces()
-    e = etas(d, stg, f["L"], f["Q"], f["mu"], f["alpha"], f["Px"], f["Pv"])
-    L, mu, Px, al = f["L"], f["mu"], f["Px"], f["alpha"]
-    assert e.eta5 == pytest.approx(4 * al**2 * mu * Px * L + 2 * stg.G, rel=1e-14)
-    assert e.eta6 == pytest.approx(16 * al**2 * L / (math.pi * d.delta_L), rel=1e-14)
-    assert e.eta1 == pytest.approx(1.0 / (mu**2 * Px**2 * d.delta_L), rel=1e-14)
+def test_sparse_limit_values_golden():
+    """The sparse-limit constants eta5 and eta6 reach an output only
+    through approx_min_msd, and the small-alpha beta constants only
+    through the ZA optimum rho_opt: each is pinned to the bit, as
+    recorded while the eta constants were still kept as one set."""
+    f, _, stg = _flagship_pieces()
+    p = AlgoParams(variant=Variant.L0LMS, mu=2e-4, alpha=10.0)
+    assert approx_min_msd(1000, 20, p, SignalModel(Px=1.0, Pv=1e-4),
+                          strengths(10.0, Q=20)) == 5.676056661434899e-07
+    p = AlgoParams(variant=Variant.L0LMS, mu=f["mu"], alpha=f["alpha"])
+    assert approx_min_msd(f["L"], f["Q"], p,
+                          SignalModel(Px=f["Px"], Pv=f["Pv"]),
+                          stg) == 0.0005139427385265882
+    za = za_steady_msd(f["L"], f["Q"], f["mu"], 0.0, f["Px"], f["Pv"])
+    assert za.rho_opt == 2.2766700834959032e-06
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,36 @@ def test_curve_matches_recursion_flagship():
     assert rel < 1e-8
 
 
+# at the flagship point: sha256 of exact_recursion's (2001, 2) float64
+# bytes, and the model's fields, recorded while each transient entry point
+# read the point for itself (same platform as TAPWISE_GOLDEN)
+TRANSIENT_GOLDEN = {
+    0.0: ("165452593ce7b82e5a7cd5606eab09ddf3322ca22e4ad6399e06e63d9e31adf9",
+          dict(a00=0.99904128, a11=0.99840128, lambda1=0.9990412800000001,
+               lambda2=0.99840128, lambda3=0.9992, c1=99.99332443256041,
+               c2=1.6362426158977293e-11, c3=0.0,
+               d_inf=0.006675567423231194, L=1000, Px=1.0,
+               s_norm_sq=100.0)),
+    KAPPA_OPT: (
+        "9dd39c9fd83ee6777225611d57436d44779a6de53b95190f821b7de7e27ab920",
+        dict(a00=0.99904128, a11=0.9875406966500062,
+             lambda1=0.998468841001349, lambda2=0.9881131356486573,
+             lambda3=0.9992, c1=105.52472176022478, c2=-5.527989974993192,
+             c3=0.002324152129635915, d_inf=0.0009440626387863324, L=1000,
+             Px=1.0, s_norm_sq=100.0)),
+}
+
+
+@pytest.mark.parametrize("kappa", list(TRANSIENT_GOLDEN))
+def test_transient_model_matches_golden(kappa):
+    m, p, sig, stg = flagship_model(kappa)
+    f = FLAGSHIP
+    rec = exact_recursion((f["L"], f["Q"], stg), p, sig, n_max=2000)
+    digest, want = TRANSIENT_GOLDEN[kappa]
+    assert hashlib.sha256(rec.tobytes()).hexdigest() == digest
+    assert {k: getattr(m, k) for k in want} == want
+
+
 def test_curve_starts_at_initial_deviation_and_settles():
     m, *_ = flagship_model()
     assert m.msd(0) == pytest.approx(m.s_norm_sq, rel=1e-10)
