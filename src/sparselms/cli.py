@@ -43,7 +43,6 @@ from .simulate import (ExperimentSpec, closed_form, iteration_count,
                        resolve_kappa)
 
 ENV_OUTDIR = "SPARSELMS_OUTDIR"
-DEFAULT_SEED = 1
 
 
 class CliError(Exception):
@@ -229,8 +228,8 @@ class Sweep:
     reference: bool = False
 
 
-_PRESET_BASE = dict(L=1000, Q=100, alpha=10.0, trials=100, iterations=30000,
-                    seed=DEFAULT_SEED, variants=(Variant.L0LMS,))
+_PRESET_BASE = dict(L=1000, Q=100, alpha=10.0, kappa="OPTIMAL", trials=100,
+                    iterations=30000, variants=(Variant.L0LMS,))
 
 
 def _exp1_kappas(spec: ExperimentSpec) -> list[float]:
@@ -244,8 +243,8 @@ def _exp3_sparsities(spec: ExperimentSpec) -> list[int]:
                    for f in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)})
 
 
-# name -> (mu, SNRs in dB, sweep); every preset starts from _PRESET_BASE
-# with kappa "OPTIMAL", so each weight derives from the closed-form optimum.
+# name -> (mu, SNRs in dB, sweep); every preset starts from _PRESET_BASE,
+# whose kappa "OPTIMAL" derives each weight from the closed-form optimum.
 PRESETS = {
     "exp1": (8e-4, (40.0, 20.0), Sweep("kappa", _exp1_kappas)),
     "exp2": (8e-4, (40.0,),
@@ -316,15 +315,14 @@ def _config_sweep(spec: ExperimentSpec) -> Sweep:
 # per-point evaluation
 # ---------------------------------------------------------------------------
 
-def _theory_steady(spec: ExperimentSpec) -> float:
-    args = closed_form(spec)
-    return math.nan if args is None else theory.l0_steady_msd(*args).d_inf
-
-
-def _theory_curve(spec: ExperimentSpec, n: np.ndarray) -> np.ndarray:
+def _theory(spec: ExperimentSpec, n: np.ndarray | None = None):
+    """The closed form at a point: its steady MSD, or with ``n`` its
+    learning curve at ``n``; NaN for ZA/RZA, which have none."""
     args = closed_form(spec)
     if args is None:
-        return np.full(n.size, math.nan)
+        return math.nan if n is None else np.full(n.size, math.nan)
+    if n is None:
+        return theory.l0_steady_msd(*args).d_inf
     return np.asarray(theory.convergence_model(*args).msd(n))
 
 
@@ -355,11 +353,9 @@ class _Run:
     def sim_steady(self, spec: ExperimentSpec) -> tuple[float, float]:
         """Monte Carlo steady estimate and its 95% CI half-width."""
         traj = monte_carlo(spec, workers=self.workers)
-        if traj.diverged:
-            self.diverged = True
-            return math.nan, math.nan
+        self.diverged |= traj.diverged
         ci = math.nan
-        if traj.trial_steady is not None and traj.trials > 1:
+        if traj.trials > 1 and not traj.diverged:
             ci = 1.96 * float(np.std(traj.trial_steady, ddof=1)) \
                 / math.sqrt(traj.trials)
         return traj.steady_estimate, ci
@@ -367,7 +363,7 @@ class _Run:
     def steady_columns(self, points) -> dict:
         cols = {}
         if self.want_theory:
-            cols["msd_theory"] = [_theory_steady(sp) for _, sp in points]
+            cols["msd_theory"] = [_theory(sp) for _, sp in points]
         if self.want_sim:
             sims = [self.sim_steady(sp) for _, sp in points]
             cols["msd_sim"] = [m for m, _ in sims]
@@ -380,7 +376,7 @@ class _Run:
         n = np.arange(spec.iterations + 1)
         cols = {}
         if self.want_theory:
-            cols["msd_theory"] = _theory_curve(spec, n)
+            cols["msd_theory"] = _theory(spec, n)
         if self.want_sim:
             traj = monte_carlo(spec, workers=self.workers)
             self.diverged |= traj.diverged
@@ -469,7 +465,7 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
         spec = _apply_overrides(
             ExperimentSpec(mu=mu, snr_db=snrs[0], **_PRESET_BASE),
             seed, trials, scale, snr_convention)
-        bases = [replace(spec, snr_db=snr, kappa="OPTIMAL") for snr in snrs]
+        bases = [replace(spec, snr_db=snr) for snr in snrs]
         resolved = {"snrs": list(snrs),
                     "scale": scale if scale is not None else 1.0}
     else:
@@ -746,12 +742,9 @@ def main(argv=None) -> int:
             trials=args.trials, scale=args.scale,
             snr_convention=args.snr_convention, workers=args.workers)
         return code
-    except CliError as e:
+    except (CliError, theory.ConsistencyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (theory.ConsistencyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return getattr(e, "code", 1)
 
 
 if __name__ == "__main__":

@@ -258,10 +258,12 @@ def noise_power(spec: ExperimentSpec) -> float:
 
 def default_iterations(L: int, Q: int, mu: float, Px: float) -> int:
     """Ten convergence time constants, 1/(mu*Px*delta_L) each."""
-    d = theory.deltas(L, Q, mu, Px)
-    if d.delta_L <= 0:
-        raise theory.StabilityError(f"mu={mu} is unstable for L={L}")
-    return int(math.ceil(10.0 / (mu * Px * d.delta_L)))
+    theory._require_stable(L, mu, Px)
+    rate = mu * Px * theory.deltas(L, Q, mu, Px).delta_L
+    if rate == 0.0 or 10.0 / rate == math.inf:     # rate underflows
+        raise theory.ParameterRangeError(
+            f"mu={mu} is too small: ten time constants overflow a float")
+    return int(math.ceil(10.0 / rate))
 
 
 def iteration_count(spec: ExperimentSpec) -> int:

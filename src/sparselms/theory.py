@@ -23,8 +23,10 @@ import decimal
 import enum
 import functools
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -143,8 +145,7 @@ class TapClassification:
     zero: np.ndarray
 
 
-@dataclass(frozen=True)
-class DeltaSet:
+class DeltaSet(NamedTuple):
     """The four step-size contraction constants that appear throughout
     the steady-state and transient formulas."""
 
@@ -152,10 +153,6 @@ class DeltaSet:
     delta_Q: float
     delta_0: float
     delta_0_prime: float
-
-    def as_tuple(self):
-        return (self.delta_L, self.delta_Q, self.delta_0,
-                self.delta_0_prime)
 
 
 @dataclass(frozen=True)
@@ -421,22 +418,29 @@ def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
           alpha: float, Px: float, Pv: float) -> BetaSet:
     """Constants of the steady-state MSD as a function of the attraction
     weight, with cancellation-free combinations precomputed."""
-    DL, DQ, D0, D0p = d.as_tuple()
+    DL, DQ, D0, D0p = d
     G = st.G
     b0 = mu * Px * D0p * DL * G \
         + 4 * alpha ** 2 * DQ * (mu * Px * DL + D0 * DQ / math.pi)
     if b0 == 0.0:
         raise ParameterRangeError(
             "degenerate attraction constants (beta0 = 0)")
+    # the steady forms divide by mu^2*Px^2*delta_L and by beta3, so a
+    # stable mu (or a Pv) so small that either underflows is refused
+    scale = mu ** 2 * Px ** 2 * DL
+    b3 = 2 * mu ** 3 * Px ** 2 * Pv * d.delta_0 * d.delta_L / b0
+    if scale < 1.0 / sys.float_info.max or b3 == 0.0:
+        raise ParameterRangeError(
+            f"mu={mu} underflows the steady-state constants at Px={Px}, "
+            f"Pv={Pv} (mu^2*Px^2*delta_L = {scale:.3g}, beta3 = {b3:.3g})")
     # beta1 = e1*(e2+e3+e4) and beta2 = 2*e1*sqrt(e2*e3), so beta1 -+ beta2
     # collapse to squares
-    e1 = 1.0 / (mu ** 2 * Px ** 2 * DL)
+    e1 = 1.0 / scale
     e2 = (L - Q) * b0 / (DL * DQ)
     e3 = 4 * alpha ** 2 * (L - Q) * D0 * DQ / (math.pi * DL)
     e4 = G * D0p * DL / DQ
     b1 = e1 * (e2 + e3 + e4)
     b2 = 2 * e1 * math.sqrt(e2 * e3)
-    b3 = 2 * mu ** 3 * Px ** 2 * Pv * d.delta_0 * d.delta_L / b0
     diff = e1 * ((math.sqrt(e2) - math.sqrt(e3)) ** 2 + e4)
     summ = e1 * ((math.sqrt(e2) + math.sqrt(e3)) ** 2 + e4)
     return BetaSet(beta0=b0, beta1=b1, beta2=b2, beta3=b3,
@@ -454,7 +458,7 @@ def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
     4ac)) to avoid subtracting nearly equal terms when kappa is small.
     """
     _require_stable(L, mu, Px)
-    DL, DQ, D0, D0p = d.as_tuple()
+    DL, DQ, D0, D0p = d
     a = 2 * mu * Px * D0 * DL
     b = 8 * alpha * kappa * D0 * DQ / math.sqrt(2 * math.pi)
     c = -(2 * mu ** 2 * Px * Pv * D0 + 4 * alpha ** 2 * kappa ** 2 * DQ
@@ -528,7 +532,7 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
 
     # independent route: power balance in the zero-tap deviation scale
     om = solve_omega(d, st, L, Q, mu, kappa, alpha, Px, Pv)
-    DL, DQ, D0, D0p = d.as_tuple()
+    DL, DQ, D0, D0p = d
     d_inf_om = (2 * (L - Q) * D0 * om ** 2 / DQ + Q * mu * Pv / DQ
                 + kappa ** 2 * D0p * st.G / (mu ** 2 * Px ** 2 * DQ))
     scale = max(abs(d_inf), abs(d_inf_om))
@@ -577,7 +581,7 @@ def approx_min_msd(L: int, Q: int, params: AlgoParams,
     Px, Pv = signal.Px, signal.Pv
     _require_stable(L, mu, Px)
     d = deltas(L, Q, mu, Px)
-    DL, DQ, D0, D0p = d.as_tuple()
+    DL, DQ, D0, D0p = d
     d_lms = _lms_steady(d, L, mu, Pv)
     if Q == 0:
         return d_lms - 2 * mu * Pv * L * D0 ** 2 \
@@ -591,7 +595,11 @@ def approx_min_msd(L: int, Q: int, params: AlgoParams,
     eta5 = 4 * alpha ** 2 * mu * Px * L + 2 * st.G
     eta6 = 16 * alpha ** 2 * L / (math.pi * DL)
     root = math.sqrt(eta5 ** 2 + 32 * alpha ** 2 * L * st.G / math.pi)
-    return d_lms * (1.0 - eta6 / (eta5 + eta6 + root))
+    if (den := eta5 + eta6 + root) == 0.0:
+        raise ParameterRangeError(
+            f"alpha={alpha} underflows the sparse approximation "
+            "(eta5 + eta6 + root = 0)")
+    return d_lms * (1.0 - eta6 / den)
 
 
 def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
@@ -608,7 +616,13 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
     if rho < 0:
         raise ValueError("rho must be >= 0")
     d = deltas(L, Q, mu, Px)
-    DL, DQ, D0, D0p = d.as_tuple()
+    DL, DQ, D0, D0p = d
+    # optimal rho via the small-alpha limit of the l0 optimum; betas, which
+    # does not read the system energy, refuses a mu that underflows
+    alpha_lim = 1e-5
+    st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
+                                 norm_sq=math.nan)
+    b_lim = betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv)
     gamma = 8 * rho ** 2 * DQ ** 2 * D0 ** 2 / math.pi \
         + 16 * mu * Px * DL * D0 ** 2 * (rho ** 2 * (Q + 1)
                                          + mu ** 2 * Px * Pv)
@@ -654,12 +668,6 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
         raise ConsistencyError(
             f"ZA steady-state forms disagree: {d_za!r} vs {d_y!r}")
 
-    # optimal rho via the small-alpha limit of the l0 optimum
-    alpha_lim = 1e-5
-    # betas does not read the system energy
-    st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
-                                 norm_sq=math.nan)
-    b_lim = betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv)
     ko, _, _ = optimal_kappa(b_lim, d, L, mu, Pv)
     rho_opt = 2 * alpha_lim * ko
     return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y, rho_opt=rho_opt)
@@ -680,7 +688,7 @@ def _transient_pieces(system_or_strengths, params: AlgoParams,
     Px, Pv = signal.Px, signal.Pv
     _require_stable(L, mu, Px)
     d = deltas(L, Q, mu, Px)
-    DL, DQ, D0, D0p = d.as_tuple()
+    DL, DQ, D0, D0p = d
     om = solve_omega(d, st, L, Q, mu, kappa, alpha, Px, Pv)
     ak_w = alpha * kappa / om if kappa > 0 else 0.0
     a00 = 1.0 - mu * Px * DL

@@ -322,6 +322,21 @@ def test_config_optimal_sweep_records_each_kappa(tmp_path):
         assert ko == resolve_kappa(spec)
 
 
+def test_preset_manifest_records_its_kappa_rule(tmp_path):
+    """A preset resolves kappa per point from its base's "OPTIMAL", and
+    the manifest's spec records that rule, not a weight no point ran."""
+    rc = main(["experiment", "--preset", "exp5", "--scale", "0.02",
+               "--trials", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    m = RunManifest.load(tmp_path / "exp5_manifest.json")
+    assert m.spec.kappa == "OPTIMAL"
+    assert m.resolved["40dB"]["kappa_opt_by_mu"] == {
+        "0.00020000000000000001": pytest.approx(6.337527244178094e-09,
+                                                rel=1e-12),
+        "0.00040000000000000002": pytest.approx(1.7926272995590772e-08,
+                                                rel=1e-12)}
+
+
 def test_simulate_config_sweep_header(tmp_path):
     cfg = write_config(tmp_path / "swp.json", L=16, Q=2, mu=5e-3,
                        alpha=10.0, kappa=[0.0, 1e-6], snr_db=40.0,
@@ -535,21 +550,38 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 UNSTABLE = {**TINY, "L": 8, "mu": 5.0, "kappa": 1e-6, "iterations": 100}
+# without iterations: the step count of ten time constants needs a stable mu
+UNTIMED = {k: v for k, v in UNSTABLE.items() if k != "iterations"}
+OUTSIDE = "mu=5.0 outside the stable range (0, 0.2)"
 
 
-@pytest.mark.parametrize("config, mode, fields", [
-    ("absent", "theory", None),
-    ("Q>L", "theory", {**TINY, "L": 8, "Q": 9}),
-    ("memory", "simulate", {**TINY, "kappa": 0.0, "trials": 1e11}),
-    ("stability", "theory", UNSTABLE),
-    ("optimal", "experiment", {**UNSTABLE, "kappa": "OPTIMAL"}),
-    ("all-zero", "theory", None)],
-    ids=["absent", "Q>L", "memory", "stability", "optimal", "all-zero"])
+@pytest.mark.parametrize("config, mode, fields, message", [
+    ("absent", "theory", None, "cannot read config"),
+    ("Q>L", "theory", {**TINY, "L": 8, "Q": 9}, "Q <= L"),
+    ("memory", "simulate", {**TINY, "kappa": 0.0, "trials": 1e11},
+     "of physical memory"),
+    ("stability", "theory", UNSTABLE, OUTSIDE),
+    ("optimal", "experiment", {**UNSTABLE, "kappa": "OPTIMAL"}, OUTSIDE),
+    ("untimed-curve", "theory", UNTIMED, OUTSIDE),
+    ("untimed-sweep", "theory", {**UNTIMED, "kappa": [1e-6, 2e-6]},
+     OUTSIDE),
+    ("untimed-sweep", "simulate", {**UNTIMED, "kappa": [1e-6, 2e-6]},
+     OUTSIDE),
+    ("underflow", "theory",
+     {**TINY, "L": 16, "Q": 2, "mu": 1e-200, "kappa": "OPTIMAL"},
+     "mu=1e-200 underflows the steady-state constants"),
+    ("underflow", "simulate", {**UNTIMED, "mu": 1e-309, "kappa": 0.0},
+     "mu=1e-309 is too small"),
+    ("all-zero", "theory", None, "undefined for an all-zero system")],
+    ids=["absent", "Q>L", "memory", "stability", "optimal", "untimed-curve",
+         "untimed-sweep", "untimed-sweep-sim", "underflow",
+         "untimed-underflow", "all-zero"])
 def test_bad_input_leaves_no_output_directory(tmp_path, capsys, config,
-                                              mode, fields):
+                                              mode, fields, message):
     """The output directory is made by the first file written, so a run
     refused before then, by its config or by a check made while it
-    runs, leaves none."""
+    runs, leaves none.  Each refusal names its cause in one line; an
+    unstable mu gets the same one on every path."""
     cfg = tmp_path / "cfg.json"
     if fields is not None:
         write_config(cfg, **fields)
@@ -560,6 +592,7 @@ def test_bad_input_leaves_no_output_directory(tmp_path, capsys, config,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert message in err and err.count("\n") == 1
     assert not (tmp_path / "fresh").exists()
 
 

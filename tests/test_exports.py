@@ -1,8 +1,10 @@
 """Every exported name resolves, so no retired name stays in an export
-list."""
+list, and every module-level import is read, so none outlives its use."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ import sparselms
 
 MODULES = ["sparselms"] + [
     f"sparselms.{m.name}" for m in pkgutil.iter_modules(sparselms.__path__)]
+SOURCES = sorted(Path(sparselms.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,3 +21,33 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [x for x in exported if not hasattr(module, x)] == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """``file:line name`` of each name a module-level import binds that
+    the module never reads and does not list in ``__all__``;
+    ``__future__`` and ``*`` imports bind nothing to read."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    bound[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = {c.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_are_read(path):
+    assert _unread_imports(path) == []

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sparselms import (
     AlgoParams,
+    ParameterRangeError,
     SignalModel,
     SnrConvention,
     StabilityError,
@@ -339,3 +340,22 @@ def test_sparse_mode_monotone_in_step_size():
         p = AlgoParams(variant=Variant.L0LMS, mu=float(mu), kappa=0.0, alpha=10.0)
         vals.append(approx_min_msd(1000, 10, p, sig, stg))
     assert np.all(np.diff(vals) > 0)
+
+
+def test_underflowing_mu_or_alpha_is_refused():
+    """A stable mu so small that the steady constants underflow (to 0,
+    or to a subnormal whose inverse overflows), or an alpha that empties
+    the sparse approximation, is refused by name, not divided by zero."""
+    sig = SignalModel(Px=1.0, Pv=1e-4)
+    stg = strengths(10.0, Q=2)
+    for mu in (1e-155, 1e-200):
+        tiny_mu = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=0.0,
+                             alpha=10.0)
+        with pytest.raises(ParameterRangeError, match=f"mu={mu} underflows"):
+            l0_steady_msd((16, 2, stg), tiny_mu, sig)
+        with pytest.raises(ParameterRangeError, match=f"mu={mu} underflows"):
+            za_steady_msd(16, 2, mu, 0.0, 1.0, 1e-4)
+    tiny_alpha = AlgoParams(variant=Variant.L0LMS, mu=1e-3, kappa=0.0,
+                            alpha=1e-200)
+    with pytest.raises(ParameterRangeError, match="alpha=1e-200 underflows"):
+        approx_min_msd(100, 2, tiny_alpha, sig, strengths(1e-200, Q=2))
