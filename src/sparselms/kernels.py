@@ -1,9 +1,10 @@
 """Filter kernels: one-iteration updates for LMS and its sparsity-aware
 variants, plus the zero-point attractor functions they share.
 
-All kernels are pure functions of their inputs.  The regressor convention
-is most-recent-first: ``x = [x_n, x_{n-1}, ..., x_{n-L+1}]``.  ``step`` is
-the single-step reference that the batched Monte Carlo engine of
+``step`` and ``attract`` are pure functions of their inputs; a prepared
+attractor writes only its ``out`` and its own scratch.  The regressor
+convention is most-recent-first: ``x = [x_n, x_{n-1}, ..., x_{n-L+1}]``.
+``step`` is the single-step reference that the batched Monte Carlo engine of
 :mod:`sparselms.simulate` is tested against.
 """
 
@@ -83,31 +84,75 @@ def _as_systems(systems, L: int | None = None) -> np.ndarray:
 # attractor functions
 # ---------------------------------------------------------------------------
 
-def _attract_l0(t, alpha: float, out=None):
+# Each attractor is prepared once for one alpha and one float output
+# array ``out``: its preparer works out the constants, allocates scratch
+# of out's shape and returns g(t), which writes g(t) of a float array t
+# of that shape into ``out`` (not overlapping t) and returns ``out``.
+# The constants are 0-d arrays, which a ufunc takes faster than a Python
+# or numpy scalar (numpy 2.4).
+
+def _attract_l0(alpha: float, out):
     """Piecewise-linear zero-point attractor: 2*alpha^2*t - 2*alpha*sgn(t)
-    inside |t| <= 1/alpha, zero outside.  sgn(0) = 0, and at the boundary
-    |t| = 1/alpha the linear branch evaluates to 0, so the function is
-    continuous.  Outside, t is replaced by 0 before the linear branch,
-    which gives exactly +0.0 there."""
-    t = np.where(np.abs(t) <= 1.0 / alpha, t, 0.0)
-    out = np.multiply(2.0 * alpha * alpha, t, out=out)
-    # not np.sign(t, out=t): in place it runs about 4x slower (numpy 2.4)
-    out -= np.multiply(2.0 * alpha, np.sign(t), out=t)
-    return out
+    inside |t| <= 1/alpha, +0.0 outside (at +-inf and NaN too).  sgn(0) =
+    0, and at the boundary |t| = 1/alpha the linear branch evaluates to 0,
+    so the function is continuous.
+
+    The linear branch runs on every tap, and a bit mask then clears the
+    taps outside the range.  The bits of the non-negative floats, inf and
+    NaN included, order as integers as the values do, so |t| <= 1/alpha
+    exactly when bits(|t|) - (bits(1/alpha) + 1) is negative; an
+    arithmetic shift by 63 turns that difference into all ones (keep) or
+    all zeros (clear, leaving +0.0)."""
+    a2, a1, edge, shift = map(np.array, (
+        2.0 * alpha * alpha, 2.0 * alpha,
+        np.float64(1.0 / alpha).view(np.int64) + 1, 63))
+    scratch = np.empty(out.shape)       # a1*sgn(t), then |t| and the mask
+    mask, bits = scratch.view(np.int64), out.view(np.int64)
+
+    def g(t):
+        # the linear branch on every tap, sgn(t) into the scratch
+        np.multiply(a2, t, out)
+        np.subtract(out, np.multiply(a1, np.sign(t, scratch), scratch), out)
+        # then the mask over the same scratch, from the bits of |t|
+        np.abs(t, scratch)
+        np.subtract(mask, edge, mask)
+        np.right_shift(mask, shift, mask)
+        np.bitwise_and(bits, mask, bits)
+        return out
+    return g
 
 
-# variant -> its raw attractor g(t, alpha, out=None); plain LMS has none.
-# Given ``out`` (not overlapping t), each writes g(t) there, so the Monte
-# Carlo engine evaluates it in place.  step() and the engine both read
-# this one table.
+def _attract_za(alpha: float, out):
+    """Sign attractor -sgn(t); alpha is not read."""
+    return lambda t: np.negative(np.sign(t, out), out)
+
+
+def _attract_rza(alpha: float, out):
+    """Reweighted sign attractor -sgn(t) / (1 + alpha*|t|)."""
+    one, alpha = np.array(1.0), np.array(alpha)
+    den = np.empty(out.shape)
+
+    def g(t):
+        np.add(one, np.multiply(alpha, np.abs(t, den), den), den)
+        return np.divide(np.negative(np.sign(t, out), out), den, out)
+    return g
+
+
+# variant -> its attractor's preparer ``prepare(alpha, out)``; plain LMS
+# has none.  step(), the Monte Carlo engine and the theory read this one
+# table.
 ATTRACTORS = {
     Variant.L0LMS: _attract_l0,
-    Variant.ZALMS: lambda t, alpha, out=None: np.negative(
-        np.sign(t, out=out), out=out),
-    Variant.RZALMS: lambda t, alpha, out=None: np.divide(
-        np.negative(np.sign(t, out=out), out=out), 1.0 + alpha * np.abs(t),
-        out=out),
+    Variant.ZALMS: _attract_za,
+    Variant.RZALMS: _attract_rza,
 }
+
+
+def attract(variant: Variant, t, alpha: float):
+    """g(t) of the variant's attractor at ``alpha``, prepared for this one
+    call: a new array of t's shape, a numpy float for a scalar t."""
+    t = np.asarray(t, dtype=float)
+    return ATTRACTORS[variant](alpha, np.empty(t.shape))(t)[()]
 
 
 def step(w, x, d: float, params: AlgoParams):
@@ -145,7 +190,6 @@ def step(w, x, d: float, params: AlgoParams):
         raise ValueError("non-finite input values")
     e = float(d - x @ w)
     w_new = w + (params.mu * e) * x
-    g = ATTRACTORS.get(params.variant)
-    if g is not None and params.kappa != 0.0:
-        w_new += params.kappa * g(w, params.alpha)
+    if params.variant in ATTRACTORS and params.kappa != 0.0:
+        w_new += params.kappa * attract(params.variant, w, params.alpha)
     return w_new, e

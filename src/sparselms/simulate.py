@@ -28,8 +28,13 @@ weights, and every piece keeps the bits of the per-step form:
   a contiguous i.i.d. regressor.  The error then rounds as
   ``(x.s + v) - x.w``, as in ``kernels.step``.
 - The update, the deviation and the attraction are written into
-  preallocated buffers; the attractor itself comes from
-  ``kernels.ATTRACTORS``, evaluated in place.
+  preallocated buffers.  The attractor comes from
+  ``kernels.ATTRACTORS``, prepared once per run for the run's alpha and
+  its attraction buffer (its constants and one scratch row per row) and
+  evaluated in place; the l0 attractor clears the taps outside its range
+  by a bit mask, not a select.  The step's ufuncs, the error column, the
+  block's regressors and desired outputs by step and the deviation
+  columns are bound once, outside the step.
 - ||w||^2 <= 2||w - s||^2 + 2||s||^2, so while the deviations of a step
   sum to at most limit / (2(1 + 1e-3)) - ||s||^2 (the least over the
   rows), no row can have crossed its divergence limit.  The 1e-3 margin
@@ -343,20 +348,21 @@ class Trajectory:
 
 def require_memory(spec: ExperimentSpec, rows: int) -> None:
     """Refuse a run of ``rows`` series whose arrays cannot fit.  Each row
-    holds its two stream generators, ``iterations + 1`` deviations, nine
+    holds its two stream generators, ``iterations + 1`` deviations, eight
     L-wide rows (the system twice: the drawn ``(rows, L)`` array and a
     worker's copy of its shard; the weights, their running sum, the
-    update, deviation and attraction buffers and the attractor's two
-    temporaries) and two stream blocks, the one in use and the next: an
-    L-wide row each on the delay line, eight regressors each when i.i.d.
-    The per-block noise, desired outputs, new samples and their copies
-    add six arrays of at most ``8 * rows + 2^14`` doubles.  Raises
+    update, deviation and attraction buffers and the attractor's scratch
+    row) and two stream blocks, the one in use and the next: an L-wide
+    row each on the delay line, eight regressors each when i.i.d.  The
+    per-block noise, desired outputs (and their copy by step), new
+    samples and their temporaries add six arrays of at most
+    ``8 * rows + 2^14`` doubles.  Raises
     ValueError naming the estimate when it exceeds physical memory;
     without ``os.sysconf`` the check is skipped."""
     n_iter = iteration_count(spec)
     block = _BLOCK_REGRESSORS if spec.input_model == "iid" else 1
     need = (rows * _GENERATOR_BYTES
-            + 8 * (rows * (n_iter + 1 + (9 + 2 * block) * spec.L)
+            + 8 * (rows * (n_iter + 1 + (8 + 2 * block) * spec.L)
                    + 6 * (_BLOCK_REGRESSORS * rows + _BLOCK)))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -423,14 +429,21 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
                       for role in (INPUT_ROLE, NOISE_ROLE))
     sx, sv = math.sqrt(spec.Px), math.sqrt(noise_power(spec))
     iid = spec.input_model == "iid"
-    g = ATTRACTORS.get(params.variant)
-    weight = params.kappa if g else 0.0
+    prepare = ATTRACTORS.get(params.variant)
+    weight = params.kappa if prepare else 0.0
     mu = np.full(rows, params.mu)               # 0 once a row diverges
 
     upd, diff, pull = np.empty((3, rows, L))
+    if weight:
+        g, kappa = prepare(params.alpha, pull), np.array(weight)
     e = np.empty(rows)
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
     block = max(_BLOCK_REGRESSORS, _BLOCK // (rows * (L if iid else 1)))
+    # bound once for the step: the ufuncs (outputs go by position), the
+    # error as a column and dev by step, devs[n] being the view dev[:, n]
+    vecdot, subtract, multiply, add = (np.vecdot, np.subtract, np.multiply,
+                                       np.add)
+    e_col, devs = e[:, None], dev.T
 
     n = 0
     while n < n_iter and not diverged_at.all():
@@ -444,23 +457,25 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
             # reversed windows: a view whose rows keep a negative stride
             xs = sliding_window_view(X, L, axis=1)[:, :, ::-1]
         d = np.vecdot(xs, S[:, None]) + _draw(noises, k, sv)
-        for j in range(k):
+        # by step: each step's (rows, L) regressors, its desired outputs
+        # as one contiguous row and its column of dev
+        for x, d_n, dev_n in zip(xs.transpose(1, 0, 2),
+                                 np.ascontiguousarray(d.T),
+                                 devs[n + 1:n + k + 1]):
             n += 1
-            x = xs[:, j]
-            np.subtract(d[:, j], np.vecdot(x, W, out=e), out=e)
-            e *= mu
+            subtract(d_n, vecdot(x, W, e), e)
+            multiply(e, mu, e)
             if weight:
-                g(W, params.alpha, out=pull)
-                pull *= weight
-            W += np.multiply(e[:, None], x, out=upd)
+                multiply(g(W), kappa, pull)
+            add(W, multiply(e_col, x, upd), W)
             if weight:
-                W += pull
-            np.vecdot(np.subtract(W, S, out=diff), diff, out=dev[:, n])
+                add(W, pull, W)
+            vecdot(subtract(W, S, diff), diff, dev_n)
             if n >= record_from:
-                wsum += W
-            if sum(dev[:, n].tolist()) <= safe:     # NaN, inf fall through
+                add(wsum, W, wsum)
+            if sum(dev_n.tolist()) <= safe:         # NaN, inf fall through
                 continue
-            bad = (np.vecdot(W, W) > limit) | ~np.isfinite(dev[:, n])
+            bad = (np.vecdot(W, W) > limit) | ~np.isfinite(dev_n)
             if bad.any():
                 diverged_at[bad] = n
                 W[bad] = mu[bad] = 0.0  # g(0) = 0: the row stays at w = 0

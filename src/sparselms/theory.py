@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernels import AlgoParams, Variant, _as_systems, _attract_l0
+from .kernels import AlgoParams, Variant, _as_systems, attract
 
 __all__ = [
     "AccelerationReport", "AttractionStrengths", "BetaSet",
@@ -46,6 +46,16 @@ __all__ = [
 ]
 
 _SQRT_8_PI = math.sqrt(8.0 / math.pi)
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, but inf where Python's float power raises
+    OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 class StabilityError(ValueError):
@@ -313,12 +323,15 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
+    if 2.0 * alpha * alpha == math.inf:
+        raise ParameterRangeError(
+            f"alpha={alpha} overflows the attractor's slope 2*alpha^2")
     if (s is None) == (Q is None):
         raise ValueError("give exactly one of s (exact) or Q (expected)")
     if s is not None:
         s = np.asarray(s, dtype=float)
         small = s[classify(s, alpha).small]
-        gs = _attract_l0(small, alpha)
+        gs = attract(Variant.L0LMS, small, alpha)
         return AttractionStrengths(G=float(np.sum(gs * gs)),
                                    G_prime=float(np.sum(small * gs)),
                                    norm_sq=float(s @ s), alpha=alpha)
@@ -330,7 +343,7 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     t = 0.5 * c * (x + 1.0)
     ww = 0.5 * c * w
     pdf = np.exp(-0.5 * (t / sigma_s) ** 2) / (sigma_s * math.sqrt(2 * math.pi))
-    gt = _attract_l0(t, alpha)
+    gt = attract(Variant.L0LMS, t, alpha)
     G = 2.0 * Q * float(np.sum(ww * gt * gt * pdf))
     Gp = 2.0 * Q * float(np.sum(ww * t * gt * pdf))
     return AttractionStrengths(G=G, G_prime=Gp, norm_sq=Q * sigma_s ** 2,
@@ -406,7 +419,7 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     small = classify(s, alpha).small
     out = np.zeros_like(s)
-    out[small] = kappa * _attract_l0(s[small], alpha) / (mu * Px)
+    out[small] = kappa * attract(Variant.L0LMS, s[small], alpha) / (mu * Px)
     return out
 
 
@@ -417,14 +430,19 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
 def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
           alpha: float, Px: float, Pv: float) -> BetaSet:
     """Constants of the steady-state MSD as a function of the attraction
-    weight, with cancellation-free combinations precomputed."""
+    weight, with cancellation-free combinations precomputed.  A point
+    whose constants leave the float range is refused by name."""
     DL, DQ, D0, D0p = d
     G = st.G
     b0 = mu * Px * D0p * DL * G \
-        + 4 * alpha ** 2 * DQ * (mu * Px * DL + D0 * DQ / math.pi)
+        + 4 * _square(alpha) * DQ * (mu * Px * DL + D0 * DQ / math.pi)
     if b0 == 0.0:
         raise ParameterRangeError(
             "degenerate attraction constants (beta0 = 0)")
+    if b0 == math.inf:                      # beta0 grows as alpha^2
+        raise ParameterRangeError(
+            f"alpha={alpha} overflows the steady-state constants "
+            f"(beta0 = inf)")
     # the steady forms divide by mu^2*Px^2*delta_L and by beta3, so a
     # stable mu (or a Pv) so small that either underflows is refused
     scale = mu ** 2 * Px ** 2 * DL
@@ -437,12 +455,18 @@ def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
     # collapse to squares
     e1 = 1.0 / scale
     e2 = (L - Q) * b0 / (DL * DQ)
-    e3 = 4 * alpha ** 2 * (L - Q) * D0 * DQ / (math.pi * DL)
+    e3 = 4 * _square(alpha) * (L - Q) * D0 * DQ / (math.pi * DL)
     e4 = G * D0p * DL / DQ
     b1 = e1 * (e2 + e3 + e4)
     b2 = 2 * e1 * math.sqrt(e2 * e3)
-    diff = e1 * ((math.sqrt(e2) - math.sqrt(e3)) ** 2 + e4)
-    summ = e1 * ((math.sqrt(e2) + math.sqrt(e3)) ** 2 + e4)
+    diff = e1 * (_square(math.sqrt(e2) - math.sqrt(e3)) + e4)
+    summ = e1 * (_square(math.sqrt(e2) + math.sqrt(e3)) + e4)
+    # beta1 + beta2, the largest constant, is squared by the steady forms
+    # (beta2^2, diff*summ): it grows as alpha^2 and as 1/mu^2
+    if not summ < _SQRT_FLOAT_MAX:
+        raise ParameterRangeError(
+            f"mu={mu} and alpha={alpha} overflow the squared steady-state "
+            f"constants (beta1 + beta2 = {summ:.3g})")
     return BetaSet(beta0=b0, beta1=b1, beta2=b2, beta3=b3,
                    diff=diff, summ=summ)
 
@@ -461,14 +485,23 @@ def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
     DL, DQ, D0, D0p = d
     a = 2 * mu * Px * D0 * DL
     b = 8 * alpha * kappa * D0 * DQ / math.sqrt(2 * math.pi)
-    c = -(2 * mu ** 2 * Px * Pv * D0 + 4 * alpha ** 2 * kappa ** 2 * DQ
+    c = -(2 * mu ** 2 * Px * Pv * D0 + 4 * _square(alpha) * kappa ** 2 * DQ
           + kappa ** 2 * D0p * st.G)
     if b == 0.0 and c == 0.0:
         return 0.0
     disc = b * b - 4 * a * c
     if disc < 0:
         raise ConsistencyError("power-balance quadratic has no real root")
-    return -2 * c / (b + math.sqrt(disc))
+    den = b + math.sqrt(disc)
+    if den == 0.0:                  # b = 0 and 4ac, of order mu^3, underflow
+        raise ParameterRangeError(
+            f"mu={mu} underflows the zero-tap power balance at Px={Px}, "
+            f"Pv={Pv}")
+    if not den < math.inf:          # alpha^2 overflowed: inf, or inf*0
+        raise ParameterRangeError(
+            f"alpha={alpha} overflows the zero-tap power balance at "
+            f"kappa={kappa}")
+    return -2 * c / den
 
 
 def _check_alpha(st: AttractionStrengths, alpha: float) -> None:
@@ -842,15 +875,15 @@ class _ZeroTapGrid:
         self.h = np.diff(faces, axis=1)
         dist = np.diff(centres, axis=1)
         f = faces[:, 1:-1]                  # interior faces
-        a_f = -mu * Px * f + kappa * _attract_l0(f, alpha)
-        a_c = -mu * Px * centres + kappa * _attract_l0(centres, alpha)
+        a_f = -mu * Px * f + kappa * attract(Variant.L0LMS, f, alpha)
+        g_c = attract(Variant.L0LMS, centres, alpha)
+        a_c = -mu * Px * centres + kappa * g_c
         # B/2 at the centres is beta/2 + half_gamma_c, so the flux
         # coefficients are linear in beta: A = beta*k + A0, C = beta*k + C0
         half_gamma_c = mu ** 2 * Px ** 2 * centres ** 2 + 0.5 * a_c ** 2
         self.k = 0.5 / dist
         self.A0 = (half_gamma_c[:, :-1] + a_f * (centres[:, 1:] - f)) / dist
         self.C0 = (half_gamma_c[:, 1:] - a_f * (f - centres[:, :-1])) / dist
-        g_c = _attract_l0(centres, alpha)
         self.moments = np.stack([centres * g_c, g_c * g_c])   # w*g, g^2
         T, N = self.h.shape
         self._upper = np.zeros((T, N))
@@ -1010,7 +1043,7 @@ def small_tap_mean_curve(s_k: float, n, mu: float, kappa: float, Px: float,
     Starts at -s_k (zero-initialized weights) and relaxes geometrically
     to the steady bias kappa*g(s_k)/(mu*Px).
     """
-    g = float(_attract_l0(s_k, alpha))
+    g = float(attract(Variant.L0LMS, s_k, alpha))
     bias_inf = kappa * g / (mu * Px)
     lam = 1.0 - mu * Px
     n = np.asarray(n)

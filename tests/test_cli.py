@@ -553,6 +553,7 @@ UNSTABLE = {**TINY, "L": 8, "mu": 5.0, "kappa": 1e-6, "iterations": 100}
 # without iterations: the step count of ten time constants needs a stable mu
 UNTIMED = {k: v for k, v in UNSTABLE.items() if k != "iterations"}
 OUTSIDE = "mu=5.0 outside the stable range (0, 0.2)"
+SPARSE = {**TINY, "L": 16, "Q": 2, "mu": 1e-3, "iterations": 50}
 
 
 @pytest.mark.parametrize("config, mode, fields, message", [
@@ -572,10 +573,19 @@ OUTSIDE = "mu=5.0 outside the stable range (0, 0.2)"
      "mu=1e-200 underflows the steady-state constants"),
     ("underflow", "simulate", {**UNTIMED, "mu": 1e-309, "kappa": 0.0},
      "mu=1e-309 is too small"),
+    # past the float range: 2*alpha^2, beta2^2 and the power balance's 4ac
+    ("huge-alpha", "theory", {**SPARSE, "alpha": 1e200, "kappa": "OPTIMAL"},
+     "alpha=1e+200 overflows"),
+    ("tiny-mu", "theory", {**SPARSE, "mu": 1e-100, "kappa": "OPTIMAL"},
+     "mu=1e-100 and alpha=10.0 overflow"),
+    ("tiny-mu-curve", "theory",
+     {**SPARSE, "mu": 1e-120, "kappa": 0.0, "variants": ["LMS"]},
+     "mu=1e-120 underflows the zero-tap power balance"),
     ("all-zero", "theory", None, "undefined for an all-zero system")],
     ids=["absent", "Q>L", "memory", "stability", "optimal", "untimed-curve",
          "untimed-sweep", "untimed-sweep-sim", "underflow",
-         "untimed-underflow", "all-zero"])
+         "untimed-underflow", "huge-alpha", "tiny-mu", "tiny-mu-curve",
+         "all-zero"])
 def test_bad_input_leaves_no_output_directory(tmp_path, capsys, config,
                                               mode, fields, message):
     """The output directory is made by the first file written, so a run

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselms import AlgoParams, Variant, step
-from sparselms.kernels import ATTRACTORS
+from sparselms.kernels import ATTRACTORS, attract
 
 
 def l0(mu=1e-3, kappa=1e-4, alpha=10.0) -> AlgoParams:
@@ -18,11 +19,12 @@ def l0(mu=1e-3, kappa=1e-4, alpha=10.0) -> AlgoParams:
 
 
 # ---------------------------------------------------------------------------
-# attractors: ATTRACTORS[variant](t, alpha)
+# attractors: attract(variant, t, alpha), or prepared once as
+# ATTRACTORS[variant](alpha, out)(t)
 # ---------------------------------------------------------------------------
 
-G0, GZA, GRZA = (ATTRACTORS[v] for v in (Variant.L0LMS, Variant.ZALMS,
-                                         Variant.RZALMS))
+G0, GZA, GRZA = (partial(attract, v) for v in (Variant.L0LMS, Variant.ZALMS,
+                                               Variant.RZALMS))
 
 
 def test_attractor_l0_at_zero_is_zero():
@@ -78,21 +80,33 @@ _PLAIN = {
 }
 
 
+def _range_edges(alpha):
+    """+-1/alpha, their float neighbours, +-inf and NaN: where the l0 range
+    test decides, and the values it must clear."""
+    c = 1.0 / alpha
+    near = [c, np.nextafter(c, 0.0), np.nextafter(c, np.inf)]
+    return near + [-v for v in near] + [np.inf, -np.inf, np.nan]
+
+
 @given(variant=st.sampled_from(sorted(ATTRACTORS)),
        t=st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
            [0.0, -0.0, 0.1, -0.1])), min_size=1, max_size=12),
        alpha=st.floats(1e-3, 1e3))
 def test_attractor_out_is_bit_identical(variant, t, alpha):
-    """``g(t, alpha, out=buf)`` fills and returns ``buf`` with the bits
-    of ``g(t, alpha)`` and of the plain expression, signed zeros
-    included, and leaves ``t`` untouched."""
-    g, t = ATTRACTORS[variant], np.array(t)
+    """A prepared ``g(t)`` fills and returns its ``out`` with the bits of
+    ``attract`` and of the plain expression, signed zeros, the range
+    edges, +-inf and NaN included, and leaves ``t`` untouched.  Called
+    again on other values, it keeps nothing of the first call."""
+    t = np.array(t + _range_edges(alpha))
     before, buf = t.copy(), np.full(t.shape, np.nan)
     want = _PLAIN[variant](t, alpha)
-    assert g(t, alpha, out=buf) is buf
+    g = ATTRACTORS[variant](alpha, buf)
+    assert g(t) is buf
     assert buf.tobytes() == want.tobytes()
-    assert g(t, alpha).tobytes() == want.tobytes()
+    assert attract(variant, t, alpha).tobytes() == want.tobytes()
     assert t.tobytes() == before.tobytes()
+    other = -0.5 * t[::-1]
+    assert g(other).tobytes() == _PLAIN[variant](other, alpha).tobytes()
 
 
 @given(t=st.floats(-1e3, 1e3), alpha=st.floats(1e-3, 1e3))

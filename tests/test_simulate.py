@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -30,6 +34,7 @@ from sparselms import (
     step,
     stream,
 )
+import sparselms
 from sparselms import simulate
 from sparselms.simulate import (
     DIVERGENCE_FACTOR,
@@ -370,6 +375,31 @@ def test_engine_rows_diverge_independently(kw, diverged, block):
     assert (traj.n_diverged, traj.diverged_at) == (
         np.count_nonzero(diverged), first)
     assert traj.msd.shape == (first + 1,)
+
+
+def test_prepared_attractor_leaves_nothing_between_runs():
+    """Each run prepares its attractor's constants and scratch afresh: in
+    one process, alpha = 10, then 20, then 10 again give alpha = 10
+    deviations byte-identical to each other and to a fresh process's."""
+    point = dict(L=32, Q=4, mu=2e-3, alpha=10.0, kappa=1e-4, Pv=1e-4,
+                 trials=3, iterations=400)
+    spec = ExperimentSpec(**point)
+    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
+               for t in range(spec.trials)]
+    runs = [hashlib.sha256(run_trials(replace(spec, alpha=a), systems)[0])
+            .hexdigest() for a in (10.0, 20.0, 10.0)]
+    fresh = subprocess.run(
+        [sys.executable, "-c", f"""
+import hashlib
+from sparselms import ExperimentSpec, gen_system, run_trials
+spec = ExperimentSpec(**{point!r})
+systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
+           for t in range(spec.trials)]
+print(hashlib.sha256(run_trials(spec, systems)[0]).hexdigest())
+"""], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(sparselms.__file__))})
+    assert runs[0] == runs[2] == fresh.stdout.strip() != runs[1]
 
 
 def _divergent_rows(L=32):

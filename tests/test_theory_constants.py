@@ -23,7 +23,7 @@ from sparselms import (
     strengths,
     za_steady_msd,
 )
-from sparselms.kernels import _attract_l0 as _g_l0
+from sparselms.kernels import attract
 from sparselms.theory import betas, solve_omega
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
@@ -290,7 +290,7 @@ def test_lms_curve_requires_s():
 
 def test_g_l0_matches_attractor_shape():
     t = np.linspace(-0.2, 0.2, 81)
-    g = _g_l0(t, 10.0)
+    g = attract(Variant.L0LMS, t, 10.0)
     inside = np.abs(t) <= 0.1
     assert np.all(g[~inside] == 0.0)
     assert np.allclose(g[inside], 200.0 * t[inside] - 20.0 * np.sign(t[inside]))

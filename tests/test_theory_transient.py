@@ -31,7 +31,7 @@ from sparselms import (
     strengths,
     tapwise_recursion,
 )
-from sparselms.kernels import _attract_l0 as _g_l0
+from sparselms.kernels import attract
 from sparselms.theory import betas, optimal_kappa
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
@@ -236,14 +236,14 @@ def test_curve_equals_recursion_random(L, q_frac, mu_frac, log_alpha, log_pv, n_
 def test_small_tap_mean_curve_endpoints():
     s_k, mu, kappa, alpha, Px = 0.05, 1e-3, 1e-7, 10.0, 1.0
     assert small_tap_mean_curve(s_k, 0, mu, kappa, Px, alpha) == pytest.approx(-s_k, rel=1e-12)
-    bias_inf = kappa * float(_g_l0(s_k, alpha)) / (mu * Px)
+    bias_inf = kappa * float(attract(Variant.L0LMS, s_k, alpha)) / (mu * Px)
     assert small_tap_mean_curve(s_k, 10_000_000, mu, kappa, Px, alpha) == pytest.approx(
         bias_inf, rel=1e-9)
 
 
 def test_small_tap_mean_curve_closed_form_values():
     s_k, mu, kappa, alpha, Px = 0.05, 1e-3, 1e-7, 10.0, 1.0
-    g = float(_g_l0(s_k, alpha))
+    g = float(attract(Variant.L0LMS, s_k, alpha))
     lam = 1.0 - mu * Px
     for n in (1, 7, 500):
         want = kappa * g / (mu * Px) - (mu * Px * s_k + kappa * g) / (mu * Px) * lam**n
