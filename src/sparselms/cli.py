@@ -93,14 +93,18 @@ def _write_errors(path: Path):
 
 
 _CSV_BLOCK = 1024               # rows formatted by one ``%``
+# curve-long arrays a curve's path holds at once, besides the trials: n,
+# the curve and a temporary of ConvergenceModel.msd, the dB column and
+# to_db's two temporaries and masks (41 bytes per step, traced)
+_CURVE_SERIES = 6
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns under ``header``: ``n`` and ``Q`` as
     integers, ``*_db`` columns with 4 decimals, the rest with 17
-    significant digits; rows end in CRLF, one ``%`` per block of rows."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c)
-               for c in columns]
+    significant digits; rows end in CRLF, one ``%`` per block of rows.
+    An array column becomes Python numbers one block at a time."""
+    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(columns) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"{path}: columns of lengths {lengths} under "
@@ -111,7 +115,9 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     with _write_errors(path), _replacing(path) as f:
         csv.writer(f).writerow(header)
         for i in range(0, max(lengths, default=0), _CSV_BLOCK):
-            rows = list(zip(*(c[i:i + _CSV_BLOCK] for c in columns)))
+            rows = list(zip(*(c[i:i + _CSV_BLOCK].tolist()
+                              if isinstance(c, np.ndarray)
+                              else c[i:i + _CSV_BLOCK] for c in columns)))
             f.write(row * len(rows) % tuple(chain.from_iterable(rows)))
 
 
@@ -372,7 +378,8 @@ class _Run:
 
     def curve(self, stem: str, spec: ExperimentSpec) -> None:
         spec = replace(spec, iterations=iteration_count(spec))
-        require_memory(spec, spec.trials if self.want_sim else 1)
+        require_memory(spec, _CURVE_SERIES
+                       + (spec.trials if self.want_sim else 0))
         n = np.arange(spec.iterations + 1)
         cols = {}
         if self.want_theory:

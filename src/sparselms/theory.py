@@ -22,10 +22,10 @@ from __future__ import annotations
 import decimal
 import enum
 import functools
+import inspect
 import math
-import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,16 +46,6 @@ __all__ = [
 ]
 
 _SQRT_8_PI = math.sqrt(8.0 / math.pi)
-_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-
-
-def _square(x: float) -> float:
-    """``x ** 2``, but inf where Python's float power raises
-    OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 class StabilityError(ValueError):
@@ -72,6 +62,45 @@ class DegenerateSpectrumError(ValueError):
 
 class ParameterRangeError(ValueError):
     """A closed form was evaluated outside its valid parameter range."""
+
+
+def _finite(out) -> bool:
+    """Every number in a result, each field of a dataclass too, is finite."""
+    if is_dataclass(out):
+        return all(map(_finite, vars(out).values()))
+    return out is None or bool(np.isfinite(out).all())
+
+
+def _in_float_range(entry):
+    """The one float-range rule of the closed forms: an overflow or a
+    division by zero in ``entry``, or a result that is not finite, raises
+    ParameterRangeError naming the caller's parameters: the mu, alpha and
+    kappa of its AlgoParams (each row's kappa, batched), else its mu,
+    alpha, ZA weight rho and sigma_s.  The outermost guarded entry point
+    restates a nested one's refusal.  numpy's float warnings are silenced
+    inside, the finiteness check covering them."""
+    signature = inspect.signature(entry)
+
+    @functools.wraps(entry)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                out = entry(*args, **kwargs)
+            if _finite(out):
+                return out
+        except (OverflowError, ZeroDivisionError, ParameterRangeError):
+            pass
+        named = signature.bind(*args, **kwargs).arguments
+        p = named.get("params")
+        if batch := [p] if isinstance(p, AlgoParams) else list(p or ()):
+            kappa = [q.kappa for q in batch]
+            named = {"mu": batch[0].mu, "alpha": batch[0].alpha,
+                     "kappa": kappa if len(kappa) > 1 else kappa[0]}
+        point = ", ".join(f"{k}={named[k]}" for k in (
+            "mu", "alpha", "kappa", "rho", "sigma_s") if k in named)
+        raise ParameterRangeError(
+            f"{entry.__name__} leaves the float range at {point}")
+    return guarded
 
 
 class SnrConvention(str, enum.Enum):
@@ -305,6 +334,7 @@ def _legendre_rule():
     return x, w
 
 
+@_in_float_range
 def strengths(alpha: float, s=None, Q: int | None = None,
               sigma_s: float = 1.0) -> AttractionStrengths:
     """Attraction strengths and energy of a system, exact or in
@@ -323,9 +353,6 @@ def strengths(alpha: float, s=None, Q: int | None = None,
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    if 2.0 * alpha * alpha == math.inf:
-        raise ParameterRangeError(
-            f"alpha={alpha} overflows the attractor's slope 2*alpha^2")
     if (s is None) == (Q is None):
         raise ValueError("give exactly one of s (exact) or Q (expected)")
     if s is not None:
@@ -400,6 +427,7 @@ def _l0_kappa(params: AlgoParams, name: str) -> float:
     return params.kappa if params.variant is Variant.L0LMS else 0.0
 
 
+@_in_float_range
 def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
     """Steady-state mean weight error per tap for the l0 variant:
     kappa*g(s_k)/(mu*Px) on small coefficients, zero on large and zero
@@ -415,7 +443,7 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
             "attraction strength is not small against the gradient step "
             f"(2*alpha^2*kappa = {2*alpha**2*kappa:.3e} vs "
             f"0.1*mu*Px = {0.1*mu*Px:.3e}); bias formula degrades",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
     s = np.asarray(s, dtype=float)
     small = classify(s, alpha).small
     out = np.zeros_like(s)
@@ -427,50 +455,31 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
 # steady state
 # ---------------------------------------------------------------------------
 
+@_in_float_range
 def betas(d: DeltaSet, st: AttractionStrengths, L: int, Q: int, mu: float,
           alpha: float, Px: float, Pv: float) -> BetaSet:
     """Constants of the steady-state MSD as a function of the attraction
-    weight, with cancellation-free combinations precomputed.  A point
-    whose constants leave the float range is refused by name."""
+    weight, with cancellation-free combinations precomputed."""
     DL, DQ, D0, D0p = d
     G = st.G
     b0 = mu * Px * D0p * DL * G \
-        + 4 * _square(alpha) * DQ * (mu * Px * DL + D0 * DQ / math.pi)
-    if b0 == 0.0:
-        raise ParameterRangeError(
-            "degenerate attraction constants (beta0 = 0)")
-    if b0 == math.inf:                      # beta0 grows as alpha^2
-        raise ParameterRangeError(
-            f"alpha={alpha} overflows the steady-state constants "
-            f"(beta0 = inf)")
-    # the steady forms divide by mu^2*Px^2*delta_L and by beta3, so a
-    # stable mu (or a Pv) so small that either underflows is refused
-    scale = mu ** 2 * Px ** 2 * DL
+        + 4 * alpha ** 2 * DQ * (mu * Px * DL + D0 * DQ / math.pi)
     b3 = 2 * mu ** 3 * Px ** 2 * Pv * d.delta_0 * d.delta_L / b0
-    if scale < 1.0 / sys.float_info.max or b3 == 0.0:
-        raise ParameterRangeError(
-            f"mu={mu} underflows the steady-state constants at Px={Px}, "
-            f"Pv={Pv} (mu^2*Px^2*delta_L = {scale:.3g}, beta3 = {b3:.3g})")
     # beta1 = e1*(e2+e3+e4) and beta2 = 2*e1*sqrt(e2*e3), so beta1 -+ beta2
     # collapse to squares
-    e1 = 1.0 / scale
+    e1 = 1.0 / (mu ** 2 * Px ** 2 * DL)
     e2 = (L - Q) * b0 / (DL * DQ)
-    e3 = 4 * _square(alpha) * (L - Q) * D0 * DQ / (math.pi * DL)
+    e3 = 4 * alpha ** 2 * (L - Q) * D0 * DQ / (math.pi * DL)
     e4 = G * D0p * DL / DQ
     b1 = e1 * (e2 + e3 + e4)
     b2 = 2 * e1 * math.sqrt(e2 * e3)
-    diff = e1 * (_square(math.sqrt(e2) - math.sqrt(e3)) + e4)
-    summ = e1 * (_square(math.sqrt(e2) + math.sqrt(e3)) + e4)
-    # beta1 + beta2, the largest constant, is squared by the steady forms
-    # (beta2^2, diff*summ): it grows as alpha^2 and as 1/mu^2
-    if not summ < _SQRT_FLOAT_MAX:
-        raise ParameterRangeError(
-            f"mu={mu} and alpha={alpha} overflow the squared steady-state "
-            f"constants (beta1 + beta2 = {summ:.3g})")
+    diff = e1 * ((math.sqrt(e2) - math.sqrt(e3)) ** 2 + e4)
+    summ = e1 * ((math.sqrt(e2) + math.sqrt(e3)) ** 2 + e4)
     return BetaSet(beta0=b0, beta1=b1, beta2=b2, beta3=b3,
                    diff=diff, summ=summ)
 
 
+@_in_float_range
 def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
                 mu: float, kappa: float, alpha: float, Px: float,
                 Pv: float) -> float:
@@ -485,23 +494,14 @@ def solve_omega(d: DeltaSet, st: AttractionStrengths, L: int, Q: int,
     DL, DQ, D0, D0p = d
     a = 2 * mu * Px * D0 * DL
     b = 8 * alpha * kappa * D0 * DQ / math.sqrt(2 * math.pi)
-    c = -(2 * mu ** 2 * Px * Pv * D0 + 4 * _square(alpha) * kappa ** 2 * DQ
+    c = -(2 * mu ** 2 * Px * Pv * D0 + 4 * alpha ** 2 * kappa ** 2 * DQ
           + kappa ** 2 * D0p * st.G)
     if b == 0.0 and c == 0.0:
         return 0.0
     disc = b * b - 4 * a * c
     if disc < 0:
         raise ConsistencyError("power-balance quadratic has no real root")
-    den = b + math.sqrt(disc)
-    if den == 0.0:                  # b = 0 and 4ac, of order mu^3, underflow
-        raise ParameterRangeError(
-            f"mu={mu} underflows the zero-tap power balance at Px={Px}, "
-            f"Pv={Pv}")
-    if not den < math.inf:          # alpha^2 overflowed: inf, or inf*0
-        raise ParameterRangeError(
-            f"alpha={alpha} overflows the zero-tap power balance at "
-            f"kappa={kappa}")
-    return -2 * c / den
+    return -2 * c / (b + math.sqrt(disc))
 
 
 def _check_alpha(st: AttractionStrengths, alpha: float) -> None:
@@ -538,9 +538,10 @@ def _low_snr_warning(signal: SignalModel):
         warnings.warn(
             f"SNR {signal.snr_db} dB is low; the steady-state and "
             "transient formulas degrade noticeably below 30 dB",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=4)
 
 
+@_in_float_range
 def l0_steady_msd(system_or_strengths, params: AlgoParams,
                   signal: SignalModel) -> SteadyStateReport:
     """Steady-state MSD of the l0 variant, with optimal-weight summary.
@@ -601,6 +602,7 @@ def optimal_kappa(b: BetaSet, d: DeltaSet, L: int, mu: float,
     return ko, dmin, bound
 
 
+@_in_float_range
 def approx_min_msd(L: int, Q: int, params: AlgoParams,
                    signal: SignalModel, st: AttractionStrengths) -> float:
     """Simplified minimum-MSD approximations, chosen by Q.
@@ -624,17 +626,14 @@ def approx_min_msd(L: int, Q: int, params: AlgoParams,
         warnings.warn(
             f"sparse approximation stretched: Q/L={Q/L:.3f}, "
             f"(Q+2)*mu*Px/2={(Q+2)*mu*Px/2:.3f} (want both <= 0.1)",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
     eta5 = 4 * alpha ** 2 * mu * Px * L + 2 * st.G
     eta6 = 16 * alpha ** 2 * L / (math.pi * DL)
     root = math.sqrt(eta5 ** 2 + 32 * alpha ** 2 * L * st.G / math.pi)
-    if (den := eta5 + eta6 + root) == 0.0:
-        raise ParameterRangeError(
-            f"alpha={alpha} underflows the sparse approximation "
-            "(eta5 + eta6 + root = 0)")
-    return d_lms * (1.0 - eta6 / den)
+    return d_lms * (1.0 - eta6 / (eta5 + eta6 + root))
 
 
+@_in_float_range
 def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
                   Pv: float) -> ZASteadyReport:
     """Steady-state MSD of the sign-attractor (ZA) variant.
@@ -650,19 +649,16 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
         raise ValueError("rho must be >= 0")
     d = deltas(L, Q, mu, Px)
     DL, DQ, D0, D0p = d
-    # optimal rho via the small-alpha limit of the l0 optimum; betas, which
-    # does not read the system energy, refuses a mu that underflows
+    # optimal rho via the small-alpha limit of the l0 optimum, first: its
+    # beta2^2 overflows from mu*Px ~ 1e-81 down, before mu^3 turns subnormal
     alpha_lim = 1e-5
     st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
-                                 norm_sq=math.nan)
-    b_lim = betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv)
+                                 norm_sq=math.nan)   # betas reads no energy
+    ko, _, _ = optimal_kappa(betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv),
+                             d, L, mu, Pv)
     gamma = 8 * rho ** 2 * DQ ** 2 * D0 ** 2 / math.pi \
         + 16 * mu * Px * DL * D0 ** 2 * (rho ** 2 * (Q + 1)
                                          + mu ** 2 * Px * Pv)
-    if gamma < 0:
-        raise ParameterRangeError(
-            f"attraction weight rho={rho} leaves the valid range "
-            "(negative discriminant)")
     # The sqrt(gamma) term nearly cancels the term after it; multiplying
     # by the conjugate turns their difference into a single-signed sum.
     pair_hi = 2 * rho * D0 * DQ / math.pi + math.sqrt(gamma / (2 * math.pi))
@@ -676,10 +672,11 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
     # independent route: quadratic in the zero-tap deviation scale y.
     # The route is badly conditioned in binary64 (the MSD can sit many
     # orders below its intermediate terms), so the reference is computed
-    # in 40-digit decimal; the consistency gate then probes the closed
-    # form above, not the reference's rounding.
+    # in decimal, 40 digits or, below mu*Px = 1e-10, 30 more than the
+    # decades of mu*Px (it needs about 20 more); the consistency gate then
+    # probes the closed form above, not the reference's rounding.
     with decimal.localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = max(40, 30 + math.ceil(-math.log10(mu * Px)))
         pi_d = decimal.Decimal("3.141592653589793238462643383279502884197")
         mu_d, rho_d = decimal.Decimal(mu), decimal.Decimal(rho)
         px_d, pv_d = decimal.Decimal(Px), decimal.Decimal(Pv)
@@ -694,16 +691,13 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
         t_d = (pi_d * mu_d * px_d + d0_d) * rho_d ** 2 \
             / (2 * pi_d * mu_d ** 2 * px_d ** 2)
         dy_d = 2 / (mu_d * px_d) * (y_d * y_d - t_d) - pv_d / px_d
-    y = float(y_d)
-    d_y = float(dy_d)
+    y, d_y = float(y_d), float(dy_d)
     scale = max(abs(d_za), abs(d_y))
     if scale > 0 and abs(d_za - d_y) > 1e-9 * scale:
         raise ConsistencyError(
             f"ZA steady-state forms disagree: {d_za!r} vs {d_y!r}")
-
-    ko, _, _ = optimal_kappa(b_lim, d, L, mu, Pv)
-    rho_opt = 2 * alpha_lim * ko
-    return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y, rho_opt=rho_opt)
+    return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y,
+                          rho_opt=2 * alpha_lim * ko)
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +732,7 @@ def _transient_pieces(system_or_strengths, params: AlgoParams,
     return L, st, d, np.array([[a00, a01], [a10, a11]]), (b00, b01, b1)
 
 
+@_in_float_range
 def convergence_model(system_or_strengths, params: AlgoParams,
                       signal: SignalModel) -> ConvergenceModel:
     """Build the closed-form transient model.
@@ -785,6 +780,7 @@ def convergence_model(system_or_strengths, params: AlgoParams,
         L=L, Px=signal.Px, s_norm_sq=st.norm_sq)
 
 
+@_in_float_range
 def exact_recursion(system_or_strengths, params: AlgoParams,
                     signal: SignalModel, n_max: int) -> np.ndarray:
     """Iterate the two-state transient recursion exactly.
@@ -923,6 +919,7 @@ class _ZeroTapGrid:
         return p.reshape(P.shape) * self.h
 
 
+@_in_float_range
 def tapwise_recursion(systems, params, signal: SignalModel,
                       n_max: int) -> np.ndarray:
     """Learning curve of each drawn system, tracked tap by tap.

@@ -570,17 +570,21 @@ SPARSE = {**TINY, "L": 16, "Q": 2, "mu": 1e-3, "iterations": 50}
      OUTSIDE),
     ("underflow", "theory",
      {**TINY, "L": 16, "Q": 2, "mu": 1e-200, "kappa": "OPTIMAL"},
-     "mu=1e-200 underflows the steady-state constants"),
+     "l0_steady_msd leaves the float range at mu=1e-200, alpha=10.0, "
+     "kappa=0.0"),
     ("underflow", "simulate", {**UNTIMED, "mu": 1e-309, "kappa": 0.0},
      "mu=1e-309 is too small"),
-    # past the float range: 2*alpha^2, beta2^2 and the power balance's 4ac
+    # past the float range: 2*alpha^2, beta2^2 and the power balance's 4ac;
+    # resolving "OPTIMAL" evaluates the steady form at kappa = 0
     ("huge-alpha", "theory", {**SPARSE, "alpha": 1e200, "kappa": "OPTIMAL"},
-     "alpha=1e+200 overflows"),
+     "strengths leaves the float range at alpha=1e+200, sigma_s=1.0"),
     ("tiny-mu", "theory", {**SPARSE, "mu": 1e-100, "kappa": "OPTIMAL"},
-     "mu=1e-100 and alpha=10.0 overflow"),
+     "l0_steady_msd leaves the float range at mu=1e-100, alpha=10.0, "
+     "kappa=0.0"),
     ("tiny-mu-curve", "theory",
      {**SPARSE, "mu": 1e-120, "kappa": 0.0, "variants": ["LMS"]},
-     "mu=1e-120 underflows the zero-tap power balance"),
+     "convergence_model leaves the float range at mu=1e-120, alpha=10.0, "
+     "kappa=0.0"),
     ("all-zero", "theory", None, "undefined for an all-zero system")],
     ids=["absent", "Q>L", "memory", "stability", "optimal", "untimed-curve",
          "untimed-sweep", "untimed-sweep-sim", "underflow",
@@ -634,12 +638,20 @@ def test_load_config_returns_spec(tmp_path):
 @pytest.mark.parametrize("fields", [
     dict(iterations=1e13),                       # a curve longer than memory
     dict(trials=1e15),                           # more trials than memory
-    dict(trials=1e15, kappa=[0.0, 1e-6])],       # ... at each sweep point
-    ids=["long_curve", "many_trials", "many_trials_sweep"])
-def test_runs_that_cannot_fit_exit_1(tmp_path, capsys, mode, fields):
-    """A run whose arrays exceed physical memory is refused up front,
-    before any array is allocated or any system drawn.  Theory mode
-    draws no trials, so only the long curve is refused there."""
+    dict(trials=1e15, kappa=[0.0, 1e-6]),        # ... at each sweep point
+    # ten time constants, 5e5 steps: one series fits, the curve path not
+    dict(mu=1e-5, iterations=None)],
+    ids=["long_curve", "many_trials", "many_trials_sweep",
+         "untimed_long_curve"])
+def test_runs_that_cannot_fit_exit_1(tmp_path, capsys, monkeypatch, mode,
+                                     fields):
+    """A run whose arrays exceed physical memory, here 16 MiB, is refused
+    up front, before any array is allocated or any system drawn.  A
+    curve counts every curve-long array its path holds, and the trials
+    on top.  Theory mode draws no trials, so only the long curves are
+    refused there."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+    monkeypatch.setattr("os.sysconf", pages.__getitem__)
     cfg = write_config(tmp_path / "huge.json", **{**TINY, "kappa": 0.0,
                                                   **fields})
     t0 = time.perf_counter()
@@ -667,6 +679,62 @@ def test_config_defects_exit_1(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not list(tmp_path.glob("*manifest*"))
+
+
+def _log_uniform(lo: float, hi: float):
+    """10**e for e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _theory_configs(draw):
+    """A scalar theory config of at most 32 taps over the whole float
+    range of mu, alpha and kappa; ``iterations`` is left out only where
+    mu >= 1e-4, which keeps the default curve short."""
+    L = draw(st.integers(1, 32))
+    cfg = dict(L=L, Q=draw(st.integers(0, L)), mu=draw(_log_uniform(-300, -1)),
+               alpha=draw(_log_uniform(-300, 300)),
+               kappa=draw(st.one_of(_log_uniform(-300, 300),
+                                    st.just("OPTIMAL"))),
+               snr_db=40.0, snr_convention=draw(st.sampled_from(
+                   ["OUTPUT_REFERRED", "INPUT_REFERRED"])),
+               variants=[draw(st.sampled_from([v.value for v in Variant]))])
+    if cfg["mu"] < 1e-4 or draw(st.booleans()):
+        cfg["iterations"] = draw(st.integers(1, 50))
+    return cfg
+
+
+@given(cfg=_theory_configs())
+@example(cfg={**SPARSE, "kappa": 1e155})
+@example(cfg={**SPARSE, "mu": 1e-50, "kappa": "OPTIMAL",
+              "variants": ["ZALMS"]})
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_theory_config_exits_0_with_finite_columns_or_1(tmp_path_factory,
+                                                         cfg):
+    """No theory config ends in a traceback: it exits 0 with a finite
+    theory column (ZA and RZA write NaN, having no curve) or exits 1 with
+    one ``error:`` line.  Physical memory reads as 64 MiB, so no curve
+    allocates more."""
+    out = tmp_path_factory.mktemp("range")
+    path = out / "c.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 14}
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), \
+            unittest.mock.patch("os.sysconf", pages.__getitem__):
+        rc = main(["theory", "--config", str(path), "--out", str(out)])
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        return
+    assert rc == 0, err.getvalue()
+    if cfg["variants"][0] in ("ZALMS", "RZALMS"):
+        return
+    (csv_path,) = out.glob("*.csv")
+    header, rows = read_csv(csv_path)
+    column = header.index("msd_theory")
+    assert all(math.isfinite(float(r[column])) for r in rows)
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from sparselms import (
     AlgoParams,
+    DegenerateSpectrumError,
     ParameterRangeError,
     SignalModel,
     SnrConvention,
@@ -22,6 +25,7 @@ from sparselms import (
     approx_min_msd,
     convergence_model,
     deltas,
+    exact_recursion,
     gen_system,
     l0_steady_msd,
     lms_theory,
@@ -29,9 +33,10 @@ from sparselms import (
     optimal_kappa,
     steady_bias,
     strengths,
+    tapwise_recursion,
     za_steady_msd,
 )
-from sparselms.theory import betas
+from sparselms.theory import betas, solve_omega
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
 
@@ -342,20 +347,102 @@ def test_sparse_mode_monotone_in_step_size():
     assert np.all(np.diff(vals) > 0)
 
 
+def _entry_calls(mu, alpha, kappa):
+    """``(name, call)`` of every entry point under the float-range guard
+    at one (mu, alpha, kappa) of L=16, Q=2: the l0 forms on the expected
+    strengths, the per-system ones on a drawn system, ZA at rho = kappa."""
+    L, Q = 16, 2
+    s = gen_system(L, Q, seed=1)
+    sig = SignalModel(Px=1.0, Pv=1e-4)
+    p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=kappa, alpha=alpha)
+
+    def point():
+        return (L, Q, strengths(alpha, Q=Q)), p, sig
+
+    def constants():
+        return deltas(L, Q, mu, 1.0), strengths(alpha, Q=Q), L, Q, mu
+
+    return [
+        ("strengths", lambda: strengths(alpha, s=s)),
+        ("betas", lambda: betas(*constants(), alpha, 1.0, 1e-4)),
+        ("solve_omega", lambda: solve_omega(*constants(), kappa, alpha, 1.0,
+                                            1e-4)),
+        ("l0_steady_msd", lambda: l0_steady_msd(*point())),
+        ("convergence_model", lambda: convergence_model(*point())),
+        ("exact_recursion", lambda: exact_recursion(*point(), 5)),
+        ("za_steady_msd", lambda: za_steady_msd(L, Q, mu, kappa, 1.0, 1e-4)),
+        ("approx_min_msd", lambda: approx_min_msd(L, Q, p, sig,
+                                                  strengths(alpha, Q=Q))),
+        ("steady_bias", lambda: steady_bias(s, p, 1.0)),
+        ("tapwise_recursion", lambda: tapwise_recursion(s, p, sig, 5))]
+
+
+def _numbers(out) -> np.ndarray:
+    if is_dataclass(out):
+        out = [v for v in vars(out).values() if v is not None]
+    return np.asarray(out, dtype=float)
+
+
 def test_underflowing_mu_or_alpha_is_refused():
-    """A stable mu so small that the steady constants underflow (to 0,
-    or to a subnormal whose inverse overflows), or an alpha that empties
-    the sparse approximation, is refused by name, not divided by zero."""
+    """A stable mu so small that the steady constants underflow, or an
+    alpha that empties the sparse approximation, is refused by the one
+    float-range guard, which names the caller's own parameters, never an
+    internal one such as the ZA limit's alpha.  Over the probe grid of
+    mu, alpha and kappa, every guarded entry point returns finite values
+    or refuses with ParameterRangeError, StabilityError or
+    DegenerateSpectrumError."""
     sig = SignalModel(Px=1.0, Pv=1e-4)
     stg = strengths(10.0, Q=2)
     for mu in (1e-155, 1e-200):
         tiny_mu = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=0.0,
                              alpha=10.0)
-        with pytest.raises(ParameterRangeError, match=f"mu={mu} underflows"):
+        with pytest.raises(ParameterRangeError, match=re.escape(
+                f"l0_steady_msd leaves the float range at mu={mu}, "
+                "alpha=10.0, kappa=0.0")):
             l0_steady_msd((16, 2, stg), tiny_mu, sig)
-        with pytest.raises(ParameterRangeError, match=f"mu={mu} underflows"):
+        with pytest.raises(ParameterRangeError, match=re.escape(
+                f"za_steady_msd leaves the float range at mu={mu}, "
+                "rho=0.0")):
             za_steady_msd(16, 2, mu, 0.0, 1.0, 1e-4)
     tiny_alpha = AlgoParams(variant=Variant.L0LMS, mu=1e-3, kappa=0.0,
                             alpha=1e-200)
-    with pytest.raises(ParameterRangeError, match="alpha=1e-200 underflows"):
+    with pytest.raises(ParameterRangeError, match=re.escape(
+            "approx_min_msd leaves the float range at mu=0.001, "
+            "alpha=1e-200, kappa=0.0")):
         approx_min_msd(100, 2, tiny_alpha, sig, strengths(1e-200, Q=2))
+
+    refusals = (ParameterRangeError, StabilityError, DegenerateSpectrumError)
+    bad = []
+    for mu, alpha, kappa in itertools.product(
+            (1e-3, 1e-30, 1e-120, 1e-200), (1e-6, 10.0, 1e100, 1e200),
+            (0.0, 1e-6, 1e100, 1e155, 1e300)):
+        for name, call in _entry_calls(mu, alpha, kappa):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")     # the bias caveat
+                    ok = bool(np.isfinite(_numbers(call())).all())
+            except refusals:
+                ok = True
+            except Exception as e:                  # noqa: BLE001
+                ok = repr(e)
+            if ok is not True:
+                bad.append((name, mu, alpha, kappa, ok))
+    assert not bad
+
+
+def test_za_reference_route_keeps_digits_at_tiny_mu():
+    """The ZA routes agree down to where the small-alpha limit leaves the
+    float range (beta2^2 overflows from about mu*Px = 1e-81): the
+    decimal reference carries more digits as mu*Px shrinks.  Below, the
+    guard refuses at the caller's mu and rho."""
+    rho_opt = {mu: za_steady_msd(16, 2, mu, 0.0, 1.0, 2e-4).rho_opt
+               for mu in (1e-40, 1e-50, 1e-80)}
+    assert rho_opt[1e-50] == pytest.approx(1.0954745007220766e-77, rel=1e-12)
+    for mu, rho in rho_opt.items():                 # rho_opt grows as mu^1.5
+        assert rho == pytest.approx(rho_opt[1e-50] * (mu / 1e-50) ** 1.5,
+                                    rel=1e-9)
+    for mu in (1e-40, 1e-50):
+        za_steady_msd(16, 2, mu, rho_opt[mu], 1.0, 2e-4)
+    with pytest.raises(ParameterRangeError, match=re.escape(
+            "za_steady_msd leaves the float range at mu=1e-103, rho=0.0")):
+        za_steady_msd(16, 2, 1e-103, 0.0, 1.0, 2e-4)
