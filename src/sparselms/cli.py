@@ -103,8 +103,10 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns under ``header``: ``n`` and ``Q`` as
     integers, ``*_db`` columns with 4 decimals, the rest with 17
     significant digits; rows end in CRLF, one ``%`` per block of rows.
-    An array column becomes Python numbers one block at a time."""
-    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    A column that is not an array becomes an object array, so its Python
+    ints stay exact; every column yields Python numbers block by block."""
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+               for c in columns]
     lengths = [len(c) for c in columns]
     if len(columns) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"{path}: columns of lengths {lengths} under "
@@ -115,9 +117,7 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     with _write_errors(path), _replacing(path) as f:
         csv.writer(f).writerow(header)
         for i in range(0, max(lengths, default=0), _CSV_BLOCK):
-            rows = list(zip(*(c[i:i + _CSV_BLOCK].tolist()
-                              if isinstance(c, np.ndarray)
-                              else c[i:i + _CSV_BLOCK] for c in columns)))
+            rows = list(zip(*(c[i:i + _CSV_BLOCK].tolist() for c in columns)))
             f.write(row * len(rows) % tuple(chain.from_iterable(rows)))
 
 
@@ -459,13 +459,13 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
                    seed: int | None = None, trials: int | None = None,
                    scale: float | None = None,
                    snr_convention: str | None = None,
-                   workers: int = 1):
-    """Run a preset or config in the given mode; returns (manifest|None,
-    exit_code).  A ``Path`` is always a config file; a string names a
-    preset, or else a config file.  A manifest is produced in experiment
-    mode only.  The output directory is checked once the run and its
-    overrides have validated, and made by the first file written; an
-    experiment removes its old manifest right after that check."""
+                   workers: int = 1) -> int:
+    """Run a preset or config in the given mode; returns the exit code.
+    A ``Path`` is always a config file; a string names a preset, or else
+    a config file.  A manifest is produced in experiment mode only.  The
+    output directory is checked once the run and its overrides have
+    validated, and made by the first file written; an experiment
+    removes its old manifest right after that check."""
     if isinstance(preset_or_config, str) and preset_or_config in PRESETS:
         preset = name = preset_or_config
         mu, snrs, sweep = PRESETS[name]
@@ -512,7 +512,6 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
                   f"d_lms={rep.d_lms:.6e}  kappa_opt={rep.kappa_opt:.6e}  "
                   f"d_min={rep.d_min:.6e}")
 
-    manifest = None
     if mode == "experiment":
         manifest = RunManifest(
             version=__version__,
@@ -525,8 +524,8 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
     if run.diverged:
         print("divergence detected in at least one Monte Carlo point",
               file=sys.stderr)
-        return manifest, 2
-    return manifest, 0
+        return 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +743,10 @@ def main(argv=None) -> int:
             raise CliError(f"unknown preset {args.preset!r} (expected one "
                            f"of {', '.join(PRESET_NAMES)})", 1)
         target = args.preset if args.preset else Path(args.config)
-        _, code = run_experiment(
+        return run_experiment(
             target, out, mode=args.mode, seed=args.seed,
             trials=args.trials, scale=args.scale,
             snr_convention=args.snr_convention, workers=args.workers)
-        return code
     except (CliError, theory.ConsistencyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "code", 1)

@@ -261,13 +261,11 @@ def noise_power(spec: ExperimentSpec) -> float:
         sigma_s=spec.sigma_s).Pv
 
 
+@theory._in_float_range
 def default_iterations(L: int, Q: int, mu: float, Px: float) -> int:
     """Ten convergence time constants, 1/(mu*Px*delta_L) each."""
     theory._require_stable(L, mu, Px)
     rate = mu * Px * theory.deltas(L, Q, mu, Px).delta_L
-    if rate == 0.0 or 10.0 / rate == math.inf:     # rate underflows
-        raise theory.ParameterRangeError(
-            f"mu={mu} is too small: ten time constants overflow a float")
     return int(math.ceil(10.0 / rate))
 
 
@@ -306,6 +304,7 @@ def closed_form(spec: ExperimentSpec):
             theory.SignalModel(Px=spec.Px, Pv=noise_power(spec)))
 
 
+@theory._in_float_range
 def resolve_kappa(spec: ExperimentSpec) -> float:
     """Resolve kappa="OPTIMAL" for the spec's first variant: the optimum
     ``kappa_opt`` of its closed form (l0 variant and plain LMS), or its

@@ -68,15 +68,15 @@ def _finite(out) -> bool:
     """Every number in a result, each field of a dataclass too, is finite."""
     if is_dataclass(out):
         return all(map(_finite, vars(out).values()))
-    return out is None or bool(np.isfinite(out).all())
+    return out is None or bool(np.isfinite(np.asarray(out, float)).all())
 
 
 def _in_float_range(entry):
-    """The one float-range rule of the closed forms: an overflow or a
-    division by zero in ``entry``, or a result that is not finite, raises
-    ParameterRangeError naming the caller's parameters: the mu, alpha and
-    kappa of its AlgoParams (each row's kappa, batched), else its mu,
-    alpha, ZA weight rho and sigma_s.  The outermost guarded entry point
+    """The one float-range rule: an overflow or a division by zero in
+    ``entry``, or a result that is not finite, raises ParameterRangeError
+    naming the caller's parameters: the mu, alpha and kappa of its
+    AlgoParams (each row's kappa, batched) or spec, else its mu, alpha,
+    ZA weight rho, sigma_s and snr_db.  The outermost guarded entry point
     restates a nested one's refusal.  numpy's float warnings are silenced
     inside, the finiteness check covering them."""
     signature = inspect.signature(entry)
@@ -91,13 +91,13 @@ def _in_float_range(entry):
         except (OverflowError, ZeroDivisionError, ParameterRangeError):
             pass
         named = signature.bind(*args, **kwargs).arguments
-        p = named.get("params")
-        if batch := [p] if isinstance(p, AlgoParams) else list(p or ()):
+        p = named.get("params", named.get("spec"))
+        if batch := [p] if hasattr(p, "kappa") else list(p or ()):
             kappa = [q.kappa for q in batch]
             named = {"mu": batch[0].mu, "alpha": batch[0].alpha,
                      "kappa": kappa if len(kappa) > 1 else kappa[0]}
-        point = ", ".join(f"{k}={named[k]}" for k in (
-            "mu", "alpha", "kappa", "rho", "sigma_s") if k in named)
+        point = ", ".join(f"{k}={named[k]}" for k in ("mu", "alpha", "kappa",
+                          "rho", "sigma_s", "snr_db") if k in named)
         raise ParameterRangeError(
             f"{entry.__name__} leaves the float range at {point}")
     return guarded
@@ -126,9 +126,12 @@ class SignalModel:
     ref_power: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.Px < math.inf and 0 < self.Pv < math.inf):
-            raise ValueError(f"Px and Pv must be finite and > 0, got "
-                             f"Px={self.Px}, Pv={self.Pv}")
+        if not (self.Px < math.inf and self.Pv < math.inf):
+            raise ParameterRangeError(f"Px and Pv must be finite, got "
+                                      f"Px={self.Px}, Pv={self.Pv}")
+        if not (self.Px > 0 and self.Pv > 0):
+            raise ValueError(f"Px and Pv must be > 0, got Px={self.Px}, "
+                             f"Pv={self.Pv}")
         if self.snr_db is not None and self.ref_power is not None:
             expect = self.ref_power * 10.0 ** (-self.snr_db / 10.0)
             if not math.isclose(self.Pv, expect, rel_tol=1e-9):
@@ -137,6 +140,7 @@ class SignalModel:
                     f"(expected {expect})")
 
     @classmethod
+    @_in_float_range
     def from_snr(cls, Px: float, snr_db: float,
                  convention=SnrConvention.OUTPUT_REFERRED,
                  s=None, Q: int | None = None,
@@ -149,27 +153,23 @@ class SignalModel:
         ``Q * sigma_s^2``); it is undefined for an all-zero system.
         """
         convention = SnrConvention(convention)
-        try:
-            if convention is SnrConvention.OUTPUT_REFERRED:
-                if s is not None:
-                    s = np.asarray(s, dtype=float)
-                    ref = Px * float(s @ s)
-                elif Q is not None:
-                    ref = Px * Q * sigma_s ** 2
-                else:
-                    raise ValueError("output-referred SNR needs s or Q to "
-                                     "fix signal power")
-                if Px > 0 and ref == 0:         # Px <= 0 fails below
-                    raise ValueError(
-                        "output-referred SNR is undefined for an all-zero "
-                        "system; give Pv explicitly or use the "
-                        "input-referred convention")
+        if convention is SnrConvention.OUTPUT_REFERRED:
+            if s is not None:
+                s = np.asarray(s, dtype=float)
+                ref = Px * float(s @ s)
+            elif Q is not None:
+                ref = Px * Q * sigma_s ** 2
             else:
-                ref = Px
-            Pv = ref * 10.0 ** (-snr_db / 10.0)
-        except OverflowError:
-            raise ValueError(f"the noise power of snr_db={snr_db} overflows "
-                             f"at Px={Px}, sigma_s={sigma_s}") from None
+                raise ValueError("output-referred SNR needs s or Q to "
+                                 "fix signal power")
+            if Px > 0 and ref == 0:         # Px <= 0 fails below
+                raise ValueError(
+                    "output-referred SNR is undefined for an all-zero "
+                    "system; give Pv explicitly or use the "
+                    "input-referred convention")
+        else:
+            ref = Px
+        Pv = ref * 10.0 ** (-snr_db / 10.0)
         return cls(Px=Px, Pv=Pv, snr_db=snr_db, ref_power=ref)
 
 
@@ -533,6 +533,13 @@ def _d_inf_beta(b: BetaSet, d_lms: float, kappa: float) -> float:
     return d_lms + extra
 
 
+def _require_agreement(forms: str, primary: float, other: float) -> None:
+    """The dual-route check: two routes agree to relative 1e-9."""
+    scale = max(abs(primary), abs(other))
+    if scale > 0 and abs(primary - other) > 1e-9 * scale:
+        raise ConsistencyError(f"{forms} disagree: {primary!r} vs {other!r}")
+
+
 def _low_snr_warning(signal: SignalModel):
     if signal.snr_db is not None and signal.snr_db < 30:
         warnings.warn(
@@ -569,10 +576,7 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
     DL, DQ, D0, D0p = d
     d_inf_om = (2 * (L - Q) * D0 * om ** 2 / DQ + Q * mu * Pv / DQ
                 + kappa ** 2 * D0p * st.G / (mu ** 2 * Px ** 2 * DQ))
-    scale = max(abs(d_inf), abs(d_inf_om))
-    if scale > 0 and abs(d_inf - d_inf_om) > 1e-9 * scale:
-        raise ConsistencyError(
-            f"steady-state forms disagree: {d_inf!r} vs {d_inf_om!r}")
+    _require_agreement("steady-state forms", d_inf, d_inf_om)
 
     ko, dmin, bound = optimal_kappa(b, d, L, mu, Pv)
     return SteadyStateReport(omega=om, d_inf=d_inf,
@@ -692,10 +696,7 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
             / (2 * pi_d * mu_d ** 2 * px_d ** 2)
         dy_d = 2 / (mu_d * px_d) * (y_d * y_d - t_d) - pv_d / px_d
     y, d_y = float(y_d), float(dy_d)
-    scale = max(abs(d_za), abs(d_y))
-    if scale > 0 and abs(d_za - d_y) > 1e-9 * scale:
-        raise ConsistencyError(
-            f"ZA steady-state forms disagree: {d_za!r} vs {d_y!r}")
+    _require_agreement("ZA steady-state forms", d_za, d_y)
     return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y,
                           rho_opt=2 * alpha_lim * ko)
 

@@ -570,17 +570,19 @@ SPARSE = {**TINY, "L": 16, "Q": 2, "mu": 1e-3, "iterations": 50}
      OUTSIDE),
     ("underflow", "theory",
      {**TINY, "L": 16, "Q": 2, "mu": 1e-200, "kappa": "OPTIMAL"},
-     "l0_steady_msd leaves the float range at mu=1e-200, alpha=10.0, "
-     "kappa=0.0"),
+     "resolve_kappa leaves the float range at mu=1e-200, alpha=10.0, "
+     "kappa=OPTIMAL"),
     ("underflow", "simulate", {**UNTIMED, "mu": 1e-309, "kappa": 0.0},
-     "mu=1e-309 is too small"),
+     "default_iterations leaves the float range at mu=1e-309"),
     # past the float range: 2*alpha^2, beta2^2 and the power balance's 4ac;
-    # resolving "OPTIMAL" evaluates the steady form at kappa = 0
+    # the refusal names the config's "OPTIMAL", not the kappa = 0 that
+    # resolving it evaluates the steady form at
     ("huge-alpha", "theory", {**SPARSE, "alpha": 1e200, "kappa": "OPTIMAL"},
-     "strengths leaves the float range at alpha=1e+200, sigma_s=1.0"),
+     "resolve_kappa leaves the float range at mu=0.001, alpha=1e+200, "
+     "kappa=OPTIMAL"),
     ("tiny-mu", "theory", {**SPARSE, "mu": 1e-100, "kappa": "OPTIMAL"},
-     "l0_steady_msd leaves the float range at mu=1e-100, alpha=10.0, "
-     "kappa=0.0"),
+     "resolve_kappa leaves the float range at mu=1e-100, alpha=10.0, "
+     "kappa=OPTIMAL"),
     ("tiny-mu-curve", "theory",
      {**SPARSE, "mu": 1e-120, "kappa": 0.0, "variants": ["LMS"]},
      "convergence_model leaves the float range at mu=1e-120, alpha=10.0, "
@@ -669,14 +671,19 @@ def test_runs_that_cannot_fit_exit_1(tmp_path, capsys, monkeypatch, mode,
 
 def test_config_defects_exit_1(tmp_path, capsys):
     """An empty variant list and a noise power that overflows a float
-    are validation errors, not an empty run or a traceback."""
+    are validation errors, not an empty run or a traceback; the overflow
+    is refused by the float-range rule, at the config's own values."""
     cfg = write_config(tmp_path / "none.json", **{**TINY, "variants": []})
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "variants must name at least one variant" in capsys.readouterr().err
-    cfg = write_config(tmp_path / "loud.json", **{**TINY, "kappa": 0.0,
-                                                  "sigma_s": 1e200})
-    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "overflows" in capsys.readouterr().err
+    for sigma_s in (1e154, 1e200):          # Pv = inf; sigma_s^2 overflows
+        cfg = write_config(tmp_path / "loud.json", **{
+            **TINY, "kappa": 0.0, "sigma_s": sigma_s})
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: from_snr leaves the float range at sigma_s={sigma_s}, "
+            "snr_db=40.0\n")
     assert not list(tmp_path.glob("*.csv"))
     assert not list(tmp_path.glob("*manifest*"))
 

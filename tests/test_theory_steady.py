@@ -6,7 +6,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sparselms import (
     AlgoParams,
     DegenerateSpectrumError,
+    ExperimentSpec,
     ParameterRangeError,
     SignalModel,
     SnrConvention,
@@ -24,6 +25,7 @@ from sparselms import (
     Variant,
     approx_min_msd,
     convergence_model,
+    default_iterations,
     deltas,
     exact_recursion,
     gen_system,
@@ -31,6 +33,7 @@ from sparselms import (
     lms_theory,
     mu_max,
     optimal_kappa,
+    resolve_kappa,
     steady_bias,
     strengths,
     tapwise_recursion,
@@ -350,11 +353,15 @@ def test_sparse_mode_monotone_in_step_size():
 def _entry_calls(mu, alpha, kappa):
     """``(name, call)`` of every entry point under the float-range guard
     at one (mu, alpha, kappa) of L=16, Q=2: the l0 forms on the expected
-    strengths, the per-system ones on a drawn system, ZA at rho = kappa."""
+    strengths, the per-system ones on a drawn system, ZA at rho = kappa,
+    and on the run path the default step count and the "OPTIMAL" weight
+    of the l0 and ZA variants."""
     L, Q = 16, 2
     s = gen_system(L, Q, seed=1)
     sig = SignalModel(Px=1.0, Pv=1e-4)
     p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=kappa, alpha=alpha)
+    spec = ExperimentSpec(L=L, Q=Q, mu=mu, alpha=alpha, kappa="OPTIMAL",
+                          Pv=1e-4)
 
     def point():
         return (L, Q, strengths(alpha, Q=Q)), p, sig
@@ -374,7 +381,11 @@ def _entry_calls(mu, alpha, kappa):
         ("approx_min_msd", lambda: approx_min_msd(L, Q, p, sig,
                                                   strengths(alpha, Q=Q))),
         ("steady_bias", lambda: steady_bias(s, p, 1.0)),
-        ("tapwise_recursion", lambda: tapwise_recursion(s, p, sig, 5))]
+        ("tapwise_recursion", lambda: tapwise_recursion(s, p, sig, 5)),
+        ("default_iterations", lambda: default_iterations(L, Q, mu, 1.0)),
+        ("resolve_kappa", lambda: resolve_kappa(spec)),
+        ("resolve_kappa", lambda: resolve_kappa(
+            replace(spec, variants=(Variant.ZALMS,))))]
 
 
 def _numbers(out) -> np.ndarray:
@@ -384,10 +395,12 @@ def _numbers(out) -> np.ndarray:
 
 
 def test_underflowing_mu_or_alpha_is_refused():
-    """A stable mu so small that the steady constants underflow, or an
-    alpha that empties the sparse approximation, is refused by the one
-    float-range guard, which names the caller's own parameters, never an
-    internal one such as the ZA limit's alpha.  Over the probe grid of
+    """A stable mu so small that the steady constants or the default
+    step count leave the float range, an alpha that empties the sparse
+    approximation, or a sigma_s whose noise power overflows, is refused
+    by the one float-range guard, which names the caller's own
+    parameters, never an internal one such as the ZA limit's alpha or
+    the kappa = 0 that "OPTIMAL" is resolved at.  Over the probe grid of
     mu, alpha and kappa, every guarded entry point returns finite values
     or refuses with ParameterRangeError, StabilityError or
     DegenerateSpectrumError."""
@@ -410,6 +423,21 @@ def test_underflowing_mu_or_alpha_is_refused():
             "approx_min_msd leaves the float range at mu=0.001, "
             "alpha=1e-200, kappa=0.0")):
         approx_min_msd(100, 2, tiny_alpha, sig, strengths(1e-200, Q=2))
+    with pytest.raises(ParameterRangeError, match=re.escape(
+            "resolve_kappa leaves the float range at mu=1e-100, "
+            "alpha=10.0, kappa=OPTIMAL")):
+        resolve_kappa(ExperimentSpec(L=16, Q=2, mu=1e-100, alpha=10.0,
+                                     kappa="OPTIMAL", snr_db=40.0))
+    with pytest.raises(ParameterRangeError, match=re.escape(
+            "default_iterations leaves the float range at mu=1e-309")):
+        default_iterations(16, 2, 1e-309, 1.0)
+    # Q*sigma_s^2 overflows as a float power (1e200) or turns the noise
+    # power into inf (1e154)
+    for sigma_s in (1e154, 1e200):
+        with pytest.raises(ParameterRangeError, match=re.escape(
+                f"from_snr leaves the float range at sigma_s={sigma_s}, "
+                "snr_db=40.0")):
+            SignalModel.from_snr(1.0, 40.0, Q=2, sigma_s=sigma_s)
 
     refusals = (ParameterRangeError, StabilityError, DegenerateSpectrumError)
     bad = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sparselms import (
     AlgoParams,
     AttractionStrengths,
     DegenerateSpectrumError,
+    ExperimentSpec,
     SignalModel,
     Variant,
     acceleration_check,
@@ -25,14 +27,19 @@ from sparselms import (
     gen_system,
     l0_steady_msd,
     lms_theory,
+    monte_carlo,
     mu_max,
+    noise_power,
+    resolve_kappa,
     small_tap_mean_curve,
     steady_bias,
     strengths,
     tapwise_recursion,
 )
+from numpy.polynomial.legendre import leggauss
+
 from sparselms.kernels import attract
-from sparselms.theory import betas, optimal_kappa
+from sparselms.theory import _l0_g_moments, betas, optimal_kappa
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
 KAPPA_OPT = 3.747845320580678e-7
@@ -411,6 +418,71 @@ def test_tapwise_recursion_attraction_settles_near_closed_form_steady():
     rep = l0_steady_msd((250, 25, strengths(10.0, s=system)), p, sig)
     assert abs(10 * np.log10(steady / rep.d_inf)) <= 1.0
     assert steady < rep.d_lms
+
+
+def _gauss_moments(mean, sd, alpha):
+    """E[g], E[w*g] and E[g^2] for w ~ N(mean, sd^2) by composite
+    Gauss-Legendre quadrature of ``attract`` over [-1/alpha, 0] and
+    [0, 1/alpha]: 400 panels of 16 nodes each, g's jumps on the panel
+    edges."""
+    x, wt = leggauss(16)
+    edge = 1.0 / alpha
+    panels = np.concatenate([np.linspace(-edge, 0.0, 401)[:-1],
+                             np.linspace(0.0, edge, 401)])
+    a, b = panels[:-1, None], panels[1:, None]
+    w = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+    h = (0.5 * (b - a) * wt).ravel()
+    g = attract(Variant.L0LMS, w, alpha)
+    pdf = np.exp(-0.5 * ((w - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
+    return tuple(float(np.sum(h * f * pdf)) for f in (g, w * g, g * g))
+
+
+@pytest.mark.parametrize("alpha", [10.0, 1e3])
+def test_l0_g_moments_match_quadrature(alpha):
+    """The truncated-Gaussian closed form of the attractor's moments,
+    which ``tapwise_recursion`` reads for every non-zero tap, equals a
+    direct quadrature of g: means at 0, inside the range and just inside
+    or outside either edge 1/alpha, spreads far below, near and far
+    above 1/alpha.  Tolerance: relative 1e-8, absolute 1e-12 of each
+    integrand's bound (2*alpha, 2, 4*alpha^2)."""
+    edge = 1.0 / alpha
+    means = edge * np.array([-1.001, -0.999, 0.0, 0.3, 0.999, 1.001])
+    sds = edge * np.array([1e-3, 0.3, 1e2])
+    mean, sd = (a.ravel() for a in np.meshgrid(means, sds))
+    closed = _l0_g_moments(mean, sd, alpha)
+    quad = np.array([_gauss_moments(m, s, alpha) for m, s in zip(mean, sd)])
+    for got, want, bound in zip(closed, quad.T, (2 * alpha, 2.0,
+                                                 4 * alpha ** 2)):
+        np.testing.assert_allclose(got, want, rtol=1e-8,
+                                   atol=1e-12 * bound)
+
+
+def test_tapwise_recursion_tracks_iid_monte_carlo_in_its_regime():
+    """Inside the regime the docstring states, the sign term's move
+    2*alpha*kappa at most 0.3 of a zero tap's per-step noise
+    mu*sqrt(Px*(Px*D + Pv)) (D the least MSD of the curve), the tap-wise
+    curve of 50 drawn systems stays within 1 dB of an i.i.d. Monte Carlo
+    run over the same systems past the first tenth of the run.  Both
+    curves are compared as 100-step block means, which average out the
+    step-to-step noise of 50 trials.  L=32, Q=4, mu=0.1/L, alpha=10,
+    the optimal weight, 40 dB, 4000 steps, seed 5."""
+    spec = ExperimentSpec(L=32, Q=4, mu=0.1 / 32, alpha=10.0,
+                          kappa="OPTIMAL", snr_db=40.0, trials=50,
+                          iterations=4000, seed=5, input_model="iid")
+    spec = replace(spec, kappa=resolve_kappa(spec))
+    Pv = noise_power(spec)
+    systems = [gen_system(spec.L, spec.Q, spec.seed, trial=t)
+               for t in range(spec.trials)]
+    p = AlgoParams(variant=Variant.L0LMS, mu=spec.mu, kappa=spec.kappa,
+                   alpha=spec.alpha)
+    tw = tapwise_recursion(systems, p, SignalModel(Px=1.0, Pv=Pv),
+                           spec.iterations).mean(axis=0)
+    ratio = 2 * spec.alpha * spec.kappa / (spec.mu * np.sqrt(tw.min() + Pv))
+    assert ratio <= 0.3
+    mc = monte_carlo(spec).msd
+    blocks = [slice(n, n + 100) for n in range(400, 4000, 100)]
+    gaps = [10 * np.log10(mc[b].mean() / tw[b].mean()) for b in blocks]
+    assert np.max(np.abs(gaps)) <= 1.0
 
 
 def test_tapwise_recursion_validation():
