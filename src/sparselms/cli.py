@@ -38,9 +38,9 @@ import numpy as np
 
 from . import __version__, theory
 from .kernels import Variant
-from .simulate import (ExperimentSpec, closed_form, iteration_count,
-                       monte_carlo, noise_power, require_memory,
-                       resolve_kappa)
+from .simulate import (ExperimentSpec, _scalar_params, closed_form,
+                       iteration_count, monte_carlo, noise_power,
+                       require_memory, resolve_kappa)
 
 ENV_OUTDIR = "SPARSELMS_OUTDIR"
 
@@ -377,10 +377,7 @@ class _Run:
         return cols
 
     def curve(self, stem: str, spec: ExperimentSpec) -> None:
-        spec = replace(spec, iterations=iteration_count(spec))
-        require_memory(spec, _CURVE_SERIES
-                       + (spec.trials if self.want_sim else 0))
-        n = np.arange(spec.iterations + 1)
+        n = np.arange(iteration_count(spec) + 1)
         cols = {}
         if self.want_theory:
             cols["msd_theory"] = _theory(spec, n)
@@ -420,8 +417,16 @@ def _reference_columns(base: ExperimentSpec, points, run: _Run,
 def _run_sweep(run: _Run, stem: str, sweep: Sweep, base: ExperimentSpec,
                entry: dict) -> list[tuple]:
     """Expand one sweep at one noise level, write its files and return
-    its points."""
+    its points.  Every point is checked before the first is evaluated:
+    its parameters and, where it is simulated or written as a curve, its
+    arrays (whose step count needs a stable mu when the run is untimed)."""
     points = expand(base, sweep, entry)
+    rows = ((_CURVE_SERIES if sweep.curve is not None else 0)
+            + (base.trials if run.want_sim else 0))
+    for _, sp in points:
+        _scalar_params(sp)
+        if rows:
+            require_memory(sp, rows)
     if sweep.curve is not None:
         for v, sp in points:
             run.curve(f"{stem}_{sweep.curve.format(v)}", sp)

@@ -355,23 +355,24 @@ def require_memory(spec: ExperimentSpec, rows: int) -> None:
     row each on the delay line, eight regressors each when i.i.d.  The
     per-block noise, desired outputs (and their copy by step), new
     samples and their temporaries add six arrays of at most
-    ``8 * rows + 2^14`` doubles.  Raises
-    ValueError naming the estimate when it exceeds physical memory;
-    without ``os.sysconf`` the check is skipped."""
+    ``8 * rows + 2^14`` doubles.  The estimate is a float (inf past its
+    range); a ValueError names it, and the counts to four digits, when it
+    exceeds physical memory; without ``os.sysconf`` the check is skipped."""
     n_iter = iteration_count(spec)
     block = _BLOCK_REGRESSORS if spec.input_model == "iid" else 1
-    need = (rows * _GENERATOR_BYTES
-            + 8 * (rows * (n_iter + 1 + (8 + 2 * block) * spec.L)
-                   + 6 * (_BLOCK_REGRESSORS * rows + _BLOCK)))
+    r, L = float(rows), float(spec.L)
+    need = (r * _GENERATOR_BYTES
+            + 8 * (r * (n_iter + 1 + (8 + 2 * block) * L)
+                   + 6 * (_BLOCK_REGRESSORS * r + _BLOCK)))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
         raise ValueError(
-            f"{rows} series of {n_iter} steps at L={spec.L} need about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-            "of physical memory")
+            f"{rows:.4g} series of {n_iter:.4g} steps at L={spec.L:.4g} need "
+            f"about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory")
 
 
 def _draw(rngs, n: int, scale: float) -> np.ndarray:

@@ -41,8 +41,8 @@ __all__ = [
     "ZASteadyReport", "acceleration_check", "approx_min_msd", "betas",
     "classify", "convergence_model", "deltas", "l0_steady_msd",
     "exact_recursion", "lms_theory", "mu_max", "optimal_kappa",
-    "small_tap_mean_curve", "solve_omega", "steady_bias", "strengths",
-    "tapwise_recursion", "za_steady_msd",
+    "solve_omega", "steady_bias", "strengths", "tapwise_recursion",
+    "za_steady_msd",
 ]
 
 _SQRT_8_PI = math.sqrt(8.0 / math.pi)
@@ -156,13 +156,13 @@ class SignalModel:
         if convention is SnrConvention.OUTPUT_REFERRED:
             if s is not None:
                 s = np.asarray(s, dtype=float)
-                ref = Px * float(s @ s)
+                ref, zero = Px * float(s @ s), not s.any()
             elif Q is not None:
-                ref = Px * Q * sigma_s ** 2
+                ref, zero = Px * Q * sigma_s ** 2, Q == 0
             else:
                 raise ValueError("output-referred SNR needs s or Q to "
                                  "fix signal power")
-            if Px > 0 and ref == 0:         # Px <= 0 fails below
+            if Px > 0 and zero:             # Px <= 0 fails below
                 raise ValueError(
                     "output-referred SNR is undefined for an all-zero "
                     "system; give Pv explicitly or use the "
@@ -170,6 +170,8 @@ class SignalModel:
         else:
             ref = Px
         Pv = ref * 10.0 ** (-snr_db / 10.0)
+        if Px > 0 and Pv == 0:              # ref or Pv underflowed
+            raise ParameterRangeError("Pv underflows to 0")
         return cls(Px=Px, Pv=Pv, snr_db=snr_db, ref_power=ref)
 
 
@@ -428,10 +430,12 @@ def _l0_kappa(params: AlgoParams, name: str) -> float:
 
 
 @_in_float_range
-def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
-    """Steady-state mean weight error per tap for the l0 variant:
-    kappa*g(s_k)/(mu*Px) on small coefficients, zero on large and zero
-    coefficients (those are unbiased).
+def steady_bias(s, params: AlgoParams, Px: float, n=None) -> np.ndarray:
+    """Mean weight error per tap for the l0 variant.  Without ``n``, the
+    steady bias b: kappa*g(s_k)/(mu*Px) on small coefficients, zero on
+    large and zero coefficients (those are unbiased).  With ``n`` (scalar
+    or array), the error at step n of zero-initialized weights,
+    b - (s + b)*(1 - mu*Px)^n, of shape ``n.shape + s.shape``.
 
     Valid when the attraction is a small perturbation of the gradient
     step; warns when 2*alpha^2*kappa >= 0.1*mu*Px.
@@ -448,7 +452,9 @@ def steady_bias(s, params: AlgoParams, Px: float) -> np.ndarray:
     small = classify(s, alpha).small
     out = np.zeros_like(s)
     out[small] = kappa * attract(Variant.L0LMS, s[small], alpha) / (mu * Px)
-    return out
+    if n is None:
+        return out
+    return out - (s + out) * (1.0 - mu * Px) ** np.asarray(n)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -1032,21 +1038,6 @@ def tapwise_recursion(systems, params, signal: SignalModel,
             P = grid.step(P, beta)
         m, v, S0 = m_new, v_new, S0_new
     return out
-
-
-def small_tap_mean_curve(s_k: float, n, mu: float, kappa: float, Px: float,
-                  alpha: float):
-    """Mean weight-error trajectory of one small coefficient.
-
-    Starts at -s_k (zero-initialized weights) and relaxes geometrically
-    to the steady bias kappa*g(s_k)/(mu*Px).
-    """
-    g = float(attract(Variant.L0LMS, s_k, alpha))
-    bias_inf = kappa * g / (mu * Px)
-    lam = 1.0 - mu * Px
-    n = np.asarray(n)
-    out = bias_inf - (mu * Px * s_k + kappa * g) / (mu * Px) * lam ** n
-    return out if out.ndim else float(out)
 
 
 def acceleration_check(model: ConvergenceModel, params: AlgoParams,

@@ -29,7 +29,7 @@ from sparselms import (
     l0_steady_msd,
     strengths,
 )
-from sparselms import cli
+from sparselms import cli, simulate
 from sparselms.cli import CliError, RunManifest, load_config, main
 from sparselms.simulate import ExperimentSpec, noise_power, resolve_kappa
 
@@ -669,10 +669,43 @@ def test_runs_that_cannot_fit_exit_1(tmp_path, capsys, monkeypatch, mode,
     assert not list(tmp_path.glob("*.csv"))
 
 
+# a run whose later point is refused: simulating its first point took 1 s
+REFUSED_LATE = dict(L=64, Q=8, mu=2e-3, alpha=10.0, kappa=1e-6, snr_db=40.0,
+                    trials=50, iterations=20000, seed=1, variants=["L0LMS"])
+UNTIMED_PAIR = {**{k: v for k, v in REFUSED_LATE.items()
+                   if k != "iterations"}, "L": 8}
+
+
+@pytest.mark.parametrize("mode", ["simulate", "experiment"])
+@pytest.mark.parametrize("fields, message", [
+    ({**REFUSED_LATE, "kappa": [1e-6, -1e-6]},
+     "error: kappa must be finite and >= 0, got -1e-06\n"),
+    ({**UNTIMED_PAIR, "mu": [1e-3, 5.0]}, f"error: {OUTSIDE}\n"),
+    ({**UNTIMED_PAIR, "mu": [1e-3, 1e-9]},
+     "error: 50 series of 5e+09 steps at L=8 need about ")],
+    ids=["negative-kappa", "unstable-mu", "untimed-memory"])
+def test_run_checks_every_point_before_it_starts(tmp_path, capsys,
+                                                 monkeypatch, mode, fields,
+                                                 message):
+    """A sweep whose later point is refused is refused before the engine
+    runs any point, with the message that point alone would give."""
+    calls = []
+    engine = simulate.run_trials
+    monkeypatch.setattr(simulate, "run_trials",
+                        lambda *a, **k: calls.append(a) or engine(*a, **k))
+    cfg = write_config(tmp_path / "late.json", **fields)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_defects_exit_1(tmp_path, capsys):
-    """An empty variant list and a noise power that overflows a float
-    are validation errors, not an empty run or a traceback; the overflow
-    is refused by the float-range rule, at the config's own values."""
+    """An empty variant list and a noise power that overflows or
+    underflows a float are validation errors, not an empty run or a
+    traceback; the overflow and the underflow are refused by the
+    float-range rule, at the config's own values, not as a zero Pv or
+    an all-zero system the config never gave."""
     cfg = write_config(tmp_path / "none.json", **{**TINY, "variants": []})
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "variants must name at least one variant" in capsys.readouterr().err
@@ -684,6 +717,14 @@ def test_config_defects_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: from_snr leaves the float range at sigma_s={sigma_s}, "
             "snr_db=40.0\n")
+    for mode in ("theory", "simulate"):     # Pv = 0; Q*sigma_s^2 = 0
+        for fields, point in ((dict(snr_db=4000.0), "1.0, snr_db=4000.0"),
+                              (dict(sigma_s=1e-200), "1e-200, snr_db=40.0")):
+            cfg = write_config(tmp_path / "quiet.json", **{
+                **SPARSE, "kappa": "OPTIMAL", **fields})
+            assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: from_snr leaves the float range at sigma_s={point}\n")
     assert not list(tmp_path.glob("*.csv"))
     assert not list(tmp_path.glob("*manifest*"))
 
@@ -696,17 +737,20 @@ def _log_uniform(lo: float, hi: float):
 @st.composite
 def _theory_configs(draw):
     """A scalar theory config of at most 32 taps over the whole float
-    range of mu, alpha and kappa; ``iterations`` is left out only where
-    mu >= 1e-4, which keeps the default curve short."""
+    range of mu, alpha, kappa and sigma_s, at SNRs whose noise power
+    leaves the float range both ways; ``iterations`` is left out at any
+    mu, so the default curve may be far longer than memory."""
     L = draw(st.integers(1, 32))
     cfg = dict(L=L, Q=draw(st.integers(0, L)), mu=draw(_log_uniform(-300, -1)),
                alpha=draw(_log_uniform(-300, 300)),
                kappa=draw(st.one_of(_log_uniform(-300, 300),
                                     st.just("OPTIMAL"))),
-               snr_db=40.0, snr_convention=draw(st.sampled_from(
+               snr_db=draw(st.floats(-4000, 4000)),
+               sigma_s=draw(_log_uniform(-300, 300)),
+               snr_convention=draw(st.sampled_from(
                    ["OUTPUT_REFERRED", "INPUT_REFERRED"])),
                variants=[draw(st.sampled_from([v.value for v in Variant]))])
-    if cfg["mu"] < 1e-4 or draw(st.booleans()):
+    if draw(st.booleans()):
         cfg["iterations"] = draw(st.integers(1, 50))
     return cfg
 
@@ -720,8 +764,8 @@ def test_theory_config_exits_0_with_finite_columns_or_1(tmp_path_factory,
                                                          cfg):
     """No theory config ends in a traceback: it exits 0 with a finite
     theory column (ZA and RZA write NaN, having no curve) or exits 1 with
-    one ``error:`` line.  Physical memory reads as 64 MiB, so no curve
-    allocates more."""
+    one ``error:`` line of at most 200 characters.  Physical memory reads
+    as 64 MiB, so no curve allocates more."""
     out = tmp_path_factory.mktemp("range")
     path = out / "c.json"
     path.write_text(json.dumps(cfg))
@@ -734,6 +778,7 @@ def test_theory_config_exits_0_with_finite_columns_or_1(tmp_path_factory,
     if rc == 1:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+        assert len(err.getvalue().rstrip("\n")) <= 200, err.getvalue()
         return
     assert rc == 0, err.getvalue()
     if cfg["variants"][0] in ("ZALMS", "RZALMS"):
@@ -819,7 +864,7 @@ def test_compare_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     assert "Traceback" not in err and "_tolerance" not in err
 
 
-@pytest.mark.parametrize("key", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["nan", "inf", "-inf", "abc"])
 def test_compare_rejects_nonfinite_keys(tmp_path, capsys, key):
     """A NaN key never matches itself and an infinite one is no grid
     point: both exit 1 naming the line, like a non-numeric key."""
@@ -881,6 +926,8 @@ def test_compare_matches_keys_by_value(tmp_path, capsys):
     ("blank", "fields, the header has 3"),
     ("repeat", "kappa value '1.0e-7' repeats '1e-07'"),
     ("empty", "val.csv: no data rows"),
+    ("zero-byte", "val.csv: empty CSV"),
+    ("absent", "cannot read"),
 ])
 def test_compare_rejects_malformed_rows(tmp_path, capsys, damage, message):
     p1, p2 = grid_files(tmp_path)
@@ -889,14 +936,17 @@ def test_compare_rejects_malformed_rows(tmp_path, capsys, damage, message):
         rows[1] = rows[1][:1]
     if damage == "repeat":
         rows.append(["1.0e-7"] + rows[0][1:])
-    if damage == "empty":
+    if damage in ("empty", "zero-byte"):
         rows = []
     with open(p2, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
+        if damage != "zero-byte":
+            f.write(",".join(header) + "\n")
         for i, r in enumerate(rows):
             f.write(",".join(r) + "\n")
             if damage == "blank" and i == 1:
                 f.write("\n")
+    if damage == "absent":
+        (tmp_path / "val.csv").unlink()
     rc = main(["compare", p1, p2])
     assert rc == 1
     err = capsys.readouterr().err

@@ -582,6 +582,19 @@ def test_default_step_count_is_the_one_require_memory_sizes(monkeypatch):
         require_memory(spec, 1)
 
 
+def test_memory_refusal_is_one_short_line():
+    """The refusal of a run far past memory, or past the float range,
+    gives its counts to four digits: no count prints its whole integer."""
+    spec = small_spec(L=10 ** 300, Q=2, mu=1e-303, iterations=10 ** 300)
+    for rows, need in ((6, "4.92e+293"), (10 ** 307, "inf")):
+        with pytest.raises(ValueError) as e:
+            require_memory(spec, rows)
+        assert str(e.value).startswith(
+            f"{rows:.4g} series of 1e+300 steps at L=1e+300 need about "
+            f"{need} GiB, more than the ")
+        assert len(str(e.value)) < 120
+
+
 def test_monte_carlo_fixed_vs_redrawn_systems():
     fixed = monte_carlo(small_spec(system_mode="fixed", trials=3))
     redraw = monte_carlo(small_spec(system_mode="redraw", trials=3))

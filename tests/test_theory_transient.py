@@ -31,7 +31,7 @@ from sparselms import (
     mu_max,
     noise_power,
     resolve_kappa,
-    small_tap_mean_curve,
+    run_trials,
     steady_bias,
     strengths,
     tapwise_recursion,
@@ -236,15 +236,21 @@ def test_curve_equals_recursion_random(L, q_frac, mu_frac, log_alpha, log_pv, n_
 
 
 # ---------------------------------------------------------------------------
-# single-coefficient mean trajectory
+# per-tap mean trajectory
 # ---------------------------------------------------------------------------
+
+
+def small_tap_mean(s_k, n, mu, kappa, Px, alpha):
+    """steady_bias(..., n) of the one small coefficient s_k."""
+    p = AlgoParams(variant=Variant.L0LMS, mu=mu, kappa=kappa, alpha=alpha)
+    return steady_bias(np.array([s_k]), p, Px, n=n)[..., 0]
 
 
 def test_small_tap_mean_curve_endpoints():
     s_k, mu, kappa, alpha, Px = 0.05, 1e-3, 1e-7, 10.0, 1.0
-    assert small_tap_mean_curve(s_k, 0, mu, kappa, Px, alpha) == pytest.approx(-s_k, rel=1e-12)
+    assert small_tap_mean(s_k, 0, mu, kappa, Px, alpha) == pytest.approx(-s_k, rel=1e-12)
     bias_inf = kappa * float(attract(Variant.L0LMS, s_k, alpha)) / (mu * Px)
-    assert small_tap_mean_curve(s_k, 10_000_000, mu, kappa, Px, alpha) == pytest.approx(
+    assert small_tap_mean(s_k, 10_000_000, mu, kappa, Px, alpha) == pytest.approx(
         bias_inf, rel=1e-9)
 
 
@@ -254,13 +260,68 @@ def test_small_tap_mean_curve_closed_form_values():
     lam = 1.0 - mu * Px
     for n in (1, 7, 500):
         want = kappa * g / (mu * Px) - (mu * Px * s_k + kappa * g) / (mu * Px) * lam**n
-        assert small_tap_mean_curve(s_k, n, mu, kappa, Px, alpha) == pytest.approx(want, rel=1e-12)
+        assert small_tap_mean(s_k, n, mu, kappa, Px, alpha) == pytest.approx(want, rel=1e-12)
 
 
 def test_small_tap_mean_curve_no_attraction_decays_to_zero():
-    vals = small_tap_mean_curve(0.05, np.array([0, 10, 1000, 100000]), 1e-3, 0.0, 1.0, 10.0)
+    vals = small_tap_mean(0.05, np.array([0, 10, 1000, 100000]), 1e-3, 0.0, 1.0, 10.0)
     assert vals[0] == pytest.approx(-0.05)
     assert abs(vals[-1]) < 1e-40
+
+
+# criterion 10's designed system: 10 small, 4 large and 114 zero taps
+DESIGNED = np.zeros(128)
+DESIGNED[10:20] = [0.03, -0.04, 0.05, -0.06, 0.07,
+                   0.035, -0.045, 0.055, -0.065, 0.075]
+DESIGNED[40:44] = [0.9, -1.2, 1.1, -0.95]
+
+
+def test_mean_weight_error_shapes_and_tap_classes():
+    """steady_bias(..., n) is the steady bias b without n and b - (s +
+    b)*lam^n with it: -s*lam^n on large taps, 0 on zero taps, and the
+    plain-LMS mean for LMS; a scalar n gives (L,), an array n
+    n.shape + (L,)."""
+    s = DESIGNED
+    p = AlgoParams(variant=Variant.L0LMS, mu=1e-3, kappa=2e-7, alpha=10.0)
+    lam = 1.0 - p.mu
+    b = steady_bias(s, p, 1.0)
+    assert steady_bias(s, p, 1.0, n=3).shape == s.shape
+    n = np.array([[0, 1], [300, 3000]])
+    m = steady_bias(s, p, 1.0, n=n)
+    assert m.shape == (2, 2, 128)
+    np.testing.assert_array_equal(m[1, 0], steady_bias(s, p, 1.0, n=300))
+    np.testing.assert_allclose(m[1, 1], b - (s + b) * lam ** 3000, rtol=1e-15)
+    large, zero = np.abs(s) >= 0.1, s == 0
+    np.testing.assert_allclose(m[..., large], -s[large] * lam ** n[..., None],
+                               rtol=1e-15)
+    assert not m[..., zero].any()
+    lms = replace(p, variant=Variant.LMS)
+    np.testing.assert_allclose(steady_bias(s, lms, 1.0, n=n),
+                               -s * lam ** n[..., None], rtol=1e-15)
+
+
+def test_mean_weight_error_matches_simulation():
+    """The per-tap mean model against simulation on criterion 10's
+    designed system, on the i.i.d. regressors it assumes: at n = 300,
+    1000 and 3000 every tap's mean error over 200 trials lies within 5
+    standard errors of steady_bias(..., n).  The bound is fixed by the
+    comparison count, 384 (tap, n) pairs: under the model the chance of
+    any false alarm is about 2*Phi(-5)*384 = 2e-4."""
+    s = DESIGNED
+    p = AlgoParams(variant=Variant.L0LMS, mu=1e-3, kappa=2e-7, alpha=10.0)
+    spec = ExperimentSpec(L=128, Q=14, mu=p.mu, alpha=p.alpha, kappa=p.kappa,
+                          Pv=float(s @ s) * 1e-4, trials=200, seed=1,
+                          input_model="iid")
+    z = []
+    for n in (300, 1000, 3000):
+        _, diverged_at, W = run_trials(replace(spec, iterations=n),
+                                       [s] * spec.trials,
+                                       record_weights_from=n)
+        assert not diverged_at.any()
+        err = W - s                         # W is w_n: a one-step window
+        se = err.std(axis=0, ddof=1) / np.sqrt(spec.trials)
+        z.append((err.mean(axis=0) - steady_bias(s, p, 1.0, n=n)) / se)
+    assert np.max(np.abs(z)) <= 5.0, np.max(np.abs(z), axis=1)
 
 
 # ---------------------------------------------------------------------------
