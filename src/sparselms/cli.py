@@ -445,8 +445,8 @@ def _low_snr_note(snr: float) -> None:
               "there, expect a visible theory-vs-simulation gap")
 
 
-def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
-                     snr_convention) -> ExperimentSpec:
+def _apply_overrides(spec: ExperimentSpec, seed, trials,
+                     scale) -> ExperimentSpec:
     if scale is not None:
         sized = (spec.L * scale, spec.Q * scale, spec.trials * scale)
         if not (scale > 0 and all(map(math.isfinite, sized))):
@@ -456,15 +456,13 @@ def _apply_overrides(spec: ExperimentSpec, seed, trials, scale,
         Q = min(L, round(spec.Q * scale))
         spec = replace(spec, L=L, Q=Q,
                        trials=max(1, round(spec.trials * scale)))
-    given = dict(trials=trials, seed=seed, snr_convention=snr_convention)
+    given = dict(trials=trials, seed=seed)
     return replace(spec, **{k: v for k, v in given.items() if v is not None})
 
 
 def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
                    seed: int | None = None, trials: int | None = None,
-                   scale: float | None = None,
-                   snr_convention: str | None = None,
-                   workers: int = 1) -> int:
+                   scale: float | None = None, workers: int = 1) -> int:
     """Run a preset or config in the given mode; returns the exit code.
     A ``Path`` is always a config file; a string names a preset, or else
     a config file.  A manifest is produced in experiment mode only.  The
@@ -476,14 +474,14 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
         mu, snrs, sweep = PRESETS[name]
         spec = _apply_overrides(
             ExperimentSpec(mu=mu, snr_db=snrs[0], **_PRESET_BASE),
-            seed, trials, scale, snr_convention)
+            seed, trials, scale)
         bases = [replace(spec, snr_db=snr) for snr in snrs]
         resolved = {"snrs": list(snrs),
                     "scale": scale if scale is not None else 1.0}
     else:
         preset = None
         spec = _apply_overrides(load_config(preset_or_config), seed, trials,
-                                scale, snr_convention)
+                                scale)
         name = Path(preset_or_config).stem
         sweep = _config_sweep(spec)
         bases = [spec]
@@ -500,9 +498,7 @@ def run_experiment(preset_or_config, out_dir, mode: str = "experiment",
         else:
             label = f"{base.snr_db:g}dB"
             _low_snr_note(base.snr_db)
-        entry = resolved[label] = {
-            "Pv": noise_power(base),
-            "snr_convention": base.snr_convention.value}
+        entry = resolved[label] = {"Pv": noise_power(base)}
         points = _run_sweep(run, f"{name}_{label}", sweep, base, entry)
         if "kappa_opt" in entry:
             print(f"kappa_opt({label}) = {entry['kappa_opt']:.6e}")
@@ -701,9 +697,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float,
                    help="multiply (L, Q, trials) for desk-scale runs; "
                         "theory uses the scaled parameters too")
-    p.add_argument("--snr-convention",
-                   choices=[c.value for c in theory.SnrConvention],
-                   help="SNR accounting convention")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel trial workers (default 1)")
 
@@ -750,8 +743,7 @@ def main(argv=None) -> int:
         target = args.preset if args.preset else Path(args.config)
         return run_experiment(
             target, out, mode=args.mode, seed=args.seed,
-            trials=args.trials, scale=args.scale,
-            snr_convention=args.snr_convention, workers=args.workers)
+            trials=args.trials, scale=args.scale, workers=args.workers)
     except (CliError, theory.ConsistencyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "code", 1)

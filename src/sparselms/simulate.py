@@ -185,7 +185,6 @@ class ExperimentSpec:
     iterations: int | None = None
     seed: int = 1
     variants: tuple = (Variant.L0LMS,)
-    snr_convention: theory.SnrConvention = theory.SnrConvention.OUTPUT_REFERRED
     Px: float = 1.0
     sigma_s: float = 1.0
     Pv: float | None = None
@@ -217,8 +216,6 @@ class ExperimentSpec:
         object.__setattr__(self, "variants", tuple(Variant(x) for x in v))
         if not self.variants:
             raise ValueError("variants must name at least one variant")
-        object.__setattr__(self, "snr_convention",
-                           theory.SnrConvention(self.snr_convention))
         if self.system_mode not in ("redraw", "fixed"):
             raise ValueError(f"bad system_mode: {self.system_mode!r}")
         if self.input_model not in INPUT_MODELS:
@@ -252,13 +249,11 @@ class ExperimentSpec:
 def noise_power(spec: ExperimentSpec) -> float:
     """Noise power implied by the spec: the explicit ``Pv`` when set,
     else the one :meth:`theory.SignalModel.from_snr` derives from
-    ``snr_db`` for the ensemble (output power ``Px * Q * sigma_s^2``
-    when output-referred, ``Px`` when input-referred)."""
+    ``snr_db`` against the ensemble's output power ``Px * Q * sigma_s^2``."""
     if spec.Pv is not None:
         return float(spec.Pv)
-    return theory.SignalModel.from_snr(
-        spec.Px, spec.snr_db, spec.snr_convention, Q=spec.Q,
-        sigma_s=spec.sigma_s).Pv
+    return theory.SignalModel.from_snr(spec.Px, spec.snr_db, spec.Q,
+                                       spec.sigma_s).Pv
 
 
 @theory._in_float_range
@@ -313,8 +308,8 @@ def resolve_kappa(spec: ExperimentSpec) -> float:
         return float(spec.kappa)
     args = closed_form(replace(spec, kappa=0.0, variants=spec.variants[:1]))
     if args is None:
-        return theory.za_steady_msd(spec.L, spec.Q, spec.mu, 0.0, spec.Px,
-                                    noise_power(spec)).rho_opt
+        return theory._rho_opt(spec.L, spec.Q, spec.mu, spec.Px,
+                               noise_power(spec))
     return theory.l0_steady_msd(*args).kappa_opt
 
 

@@ -20,7 +20,6 @@ rearrangement, so dual-form consistency holds to ~1e-12 instead of ~1e-8.
 from __future__ import annotations
 
 import decimal
-import enum
 import functools
 import inspect
 import math
@@ -36,13 +35,12 @@ from .kernels import AlgoParams, Variant, _as_systems, attract
 __all__ = [
     "AccelerationReport", "AttractionStrengths", "BetaSet",
     "ConsistencyError", "ConvergenceModel", "DegenerateSpectrumError",
-    "DeltaSet", "ParameterRangeError", "SignalModel", "SnrConvention",
-    "StabilityError", "SteadyStateReport", "TapClassification",
-    "ZASteadyReport", "acceleration_check", "approx_min_msd", "betas",
-    "classify", "convergence_model", "deltas", "l0_steady_msd",
-    "exact_recursion", "lms_theory", "mu_max", "optimal_kappa",
-    "solve_omega", "steady_bias", "strengths", "tapwise_recursion",
-    "za_steady_msd",
+    "DeltaSet", "ParameterRangeError", "SignalModel", "StabilityError",
+    "SteadyStateReport", "TapClassification", "ZASteadyReport",
+    "acceleration_check", "approx_min_msd", "betas", "classify",
+    "convergence_model", "deltas", "l0_steady_msd", "exact_recursion",
+    "lms_theory", "mu_max", "optimal_kappa", "solve_omega", "steady_bias",
+    "strengths", "tapwise_recursion", "za_steady_msd",
 ]
 
 _SQRT_8_PI = math.sqrt(8.0 / math.pi)
@@ -103,20 +101,12 @@ def _in_float_range(entry):
     return guarded
 
 
-class SnrConvention(str, enum.Enum):
-    # output-referred: noise compared against the filtered-signal power
-    # Px * ||s||^2; input-referred: against the raw input power Px.
-    OUTPUT_REFERRED = "OUTPUT_REFERRED"
-    INPUT_REFERRED = "INPUT_REFERRED"
-
-
 @dataclass(frozen=True)
 class SignalModel:
     """Input/noise powers, optionally tied to a stated SNR.
 
-    ``ref_power`` is the signal power the SNR refers to (``Px * ||s||^2``
-    for the output-referred convention, ``Px`` for input-referred).  When
-    both ``snr_db`` and ``ref_power`` are present, ``Pv`` is validated
+    ``ref_power`` is the signal power the SNR refers to.  When both
+    ``snr_db`` and ``ref_power`` are present, ``Pv`` is validated
     against them.
     """
 
@@ -141,34 +131,16 @@ class SignalModel:
 
     @classmethod
     @_in_float_range
-    def from_snr(cls, Px: float, snr_db: float,
-                 convention=SnrConvention.OUTPUT_REFERRED,
-                 s=None, Q: int | None = None,
+    def from_snr(cls, Px: float, snr_db: float, Q: int,
                  sigma_s: float = 1.0) -> "SignalModel":
-        """Derive Pv from an SNR statement.
-
-        Output-referred needs the signal power at the system output:
-        pass the coefficient vector ``s`` (uses ``||s||^2``) or the
-        support size ``Q`` (uses the ensemble expectation
-        ``Q * sigma_s^2``); it is undefined for an all-zero system.
-        """
-        convention = SnrConvention(convention)
-        if convention is SnrConvention.OUTPUT_REFERRED:
-            if s is not None:
-                s = np.asarray(s, dtype=float)
-                ref, zero = Px * float(s @ s), not s.any()
-            elif Q is not None:
-                ref, zero = Px * Q * sigma_s ** 2, Q == 0
-            else:
-                raise ValueError("output-referred SNR needs s or Q to "
-                                 "fix signal power")
-            if Px > 0 and zero:             # Px <= 0 fails below
-                raise ValueError(
-                    "output-referred SNR is undefined for an all-zero "
-                    "system; give Pv explicitly or use the "
-                    "input-referred convention")
-        else:
-            ref = Px
+        """Derive Pv from an SNR taken against the ensemble output power
+        ``Px * Q * sigma_s^2`` of Q non-zero N(0, sigma_s^2) taps; it is
+        undefined for an all-zero system (Q = 0).  Any other noise is an
+        explicit ``Pv``."""
+        ref = Px * Q * sigma_s ** 2
+        if Px > 0 and Q == 0:               # Px <= 0 fails below
+            raise ValueError("an SNR is undefined for an all-zero system; "
+                             "give Pv explicitly")
         Pv = ref * 10.0 ** (-snr_db / 10.0)
         if Px > 0 and Pv == 0:              # ref or Pv underflowed
             raise ParameterRangeError("Pv underflows to 0")
@@ -539,10 +511,15 @@ def _d_inf_beta(b: BetaSet, d_lms: float, kappa: float) -> float:
     return d_lms + extra
 
 
-def _require_agreement(forms: str, primary: float, other: float) -> None:
-    """The dual-route check: two routes agree to relative 1e-9."""
+def _require_agreement(forms: str, primary: float, other: float,
+                       digits_lost: bool) -> None:
+    """The dual-route check: two routes agree to relative 1e-9.  When the
+    primary route has lost its digits (``digits_lost``), a disagreement
+    is the float range's, not the forms'."""
     scale = max(abs(primary), abs(other))
     if scale > 0 and abs(primary - other) > 1e-9 * scale:
+        if digits_lost:
+            raise ParameterRangeError(f"{forms} lost their digits")
         raise ConsistencyError(f"{forms} disagree: {primary!r} vs {other!r}")
 
 
@@ -582,7 +559,11 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
     DL, DQ, D0, D0p = d
     d_inf_om = (2 * (L - Q) * D0 * om ** 2 / DQ + Q * mu * Pv / DQ
                 + kappa ** 2 * D0p * st.G / (mu ** 2 * Px ** 2 * DQ))
-    _require_agreement("steady-state forms", d_inf, d_inf_om)
+    # beta1 - beta2 below one rounding unit of beta1 (a tiny mu with no
+    # small taps, sqrt(e2) and sqrt(e3) agreeing to more digits than a
+    # float holds) is known to fewer digits than the check asks
+    _require_agreement("steady-state forms", d_inf, d_inf_om,
+                       b.diff < np.finfo(float).eps * b.beta1)
 
     ko, dmin, bound = optimal_kappa(b, d, L, mu, Pv)
     return SteadyStateReport(omega=om, d_inf=d_inf,
@@ -643,6 +624,20 @@ def approx_min_msd(L: int, Q: int, params: AlgoParams,
     return d_lms * (1.0 - eta6 / (eta5 + eta6 + root))
 
 
+def _rho_opt(L: int, Q: int, mu: float, Px: float, Pv: float) -> float:
+    """The ZA weight rho_opt: the l0-optimal weight transported through
+    the small-alpha limit (2*alpha*kappa held fixed, per-tap strength
+    4*alpha^2 per non-zero coefficient)."""
+    _require_stable(L, mu, Px)
+    d = deltas(L, Q, mu, Px)
+    alpha_lim = 1e-5
+    st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
+                                 norm_sq=math.nan)   # betas reads no energy
+    ko, _, _ = optimal_kappa(betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv),
+                             d, L, mu, Pv)
+    return 2 * alpha_lim * ko
+
+
 @_in_float_range
 def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
                   Pv: float) -> ZASteadyReport:
@@ -650,22 +645,15 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
 
     Primary value from the explicit closed form; cross-checked against
     the quadratic-in-y route (the historical derivation for this
-    algorithm).  ``rho_opt`` is the l0-optimal weight transported through
-    the small-alpha limit (2*alpha*kappa held fixed, per-tap strength
-    4*alpha^2 per non-zero coefficient).
+    algorithm).  ``rho_opt`` is the small-alpha limit of the l0 optimum
+    (:func:`_rho_opt`).
     """
     _require_stable(L, mu, Px)
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    d = deltas(L, Q, mu, Px)
-    DL, DQ, D0, D0p = d
-    # optimal rho via the small-alpha limit of the l0 optimum, first: its
-    # beta2^2 overflows from mu*Px ~ 1e-81 down, before mu^3 turns subnormal
-    alpha_lim = 1e-5
-    st_lim = AttractionStrengths(G=4 * alpha_lim ** 2 * Q, G_prime=0.0,
-                                 norm_sq=math.nan)   # betas reads no energy
-    ko, _, _ = optimal_kappa(betas(d, st_lim, L, Q, mu, alpha_lim, Px, Pv),
-                             d, L, mu, Pv)
+    # rho_opt first: its beta2^2 overflows from mu*Px ~ 1e-81 down
+    rho_opt = _rho_opt(L, Q, mu, Px, Pv)
+    DL, DQ, D0, D0p = deltas(L, Q, mu, Px)
     gamma = 8 * rho ** 2 * DQ ** 2 * D0 ** 2 / math.pi \
         + 16 * mu * Px * DL * D0 ** 2 * (rho ** 2 * (Q + 1)
                                          + mu ** 2 * Px * Pv)
@@ -674,10 +662,18 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
     pair_hi = 2 * rho * D0 * DQ / math.pi + math.sqrt(gamma / (2 * math.pi))
     pair_num = (8 / math.pi * mu * Px * DL * D0 ** 2
                 * (rho ** 2 * (Q + 1) + mu ** 2 * Px * Pv))
-    attract_gain = 0.0 if rho == 0.0 else \
-        -(L - Q) * rho * pair_num / (pair_hi * mu ** 2 * Px ** 2 * DL ** 2)
-    d_za = attract_gain + (rho ** 2 * (mu * L * Px + 2 * Q * D0)
-                           + L * mu ** 3 * Px ** 2 * Pv) / (mu ** 2 * Px ** 2 * DL)
+    lms_num = (rho ** 2 * (mu * L * Px + 2 * Q * D0)
+               + L * mu ** 3 * Px ** 2 * Pv)
+    lms_den = mu ** 2 * Px ** 2 * DL
+    # the form's positive products: one below the normal float range has
+    # lost digits to underflow
+    products = [pair_num, lms_num, lms_den]
+    attract_gain = 0.0
+    if rho != 0.0:
+        gain_den = pair_hi * mu ** 2 * Px ** 2 * DL ** 2
+        attract_gain = -(L - Q) * rho * pair_num / gain_den
+        products += [rho * pair_num, gain_den]
+    d_za = attract_gain + lms_num / lms_den
 
     # independent route: quadratic in the zero-tap deviation scale y.
     # The route is badly conditioned in binary64 (the MSD can sit many
@@ -702,9 +698,9 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
             / (2 * pi_d * mu_d ** 2 * px_d ** 2)
         dy_d = 2 / (mu_d * px_d) * (y_d * y_d - t_d) - pv_d / px_d
     y, d_y = float(y_d), float(dy_d)
-    _require_agreement("ZA steady-state forms", d_za, d_y)
-    return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y,
-                          rho_opt=2 * alpha_lim * ko)
+    _require_agreement("ZA steady-state forms", d_za, d_y,
+                       min(products) < np.finfo(float).tiny)
+    return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y, rho_opt=rho_opt)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,6 @@ def test_experiment_config_curve_and_manifest(tmp_path, capsys):
     assert m.files == ("tiny_40dB_curve.csv",)
     assert m.spec.L == 24 and m.spec.kappa == "OPTIMAL"
     res = m.resolved["40dB"]
-    assert res["snr_convention"] == "OUTPUT_REFERRED"
     assert res["Pv"] == pytest.approx(3e-4, rel=1e-12)  # Q sigma^2 / 10^4
     for key in ("kappa_opt", "d_inf", "d_lms", "kappa_opt_theory",
                 "d_min", "omega"):
@@ -287,6 +286,63 @@ def test_explicit_noise_power_labels_the_run(tmp_path, capsys):
     assert m.resolved["Pv1e-06"]["Pv"] == 1e-6
 
 
+def test_snr_convention_key_is_refused(tmp_path, capsys):
+    """An SNR is always taken against Q*sigma_s^2; a config that names
+    a convention is refused as an unknown key."""
+    cfg = write_config(tmp_path / "conv.json",
+                       **{**TINY, "snr_convention": "INPUT_REFERRED"})
+    assert main(["theory", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: unknown config keys: "
+                          "snr_convention (known keys: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "conv.json"]
+
+
+# sha256 of the curve files of an input-referred 40 dB config (Pv =
+# Px*1e-4), written before the SNR convention was removed: an explicit
+# Pv of 1e-4 now says the same
+INPUT_REFERRED_GOLDEN = {
+    "L0LMS":
+        "410d13002b4d82fe5558e7ce70ad08e7dfc7139b884efdd13a2f77ec7eb348e9",
+    "RZALMS":
+        "1e118a94fc6f3b150b5d714431ab91c5013c36695825a2a3878e77fdd99778f1",
+}
+
+
+def test_explicit_pv_reproduces_input_referred_columns(tmp_path):
+    """Pv = 1e-4 writes, byte for byte, the curves an input-referred
+    40 dB SNR wrote; the manifest records that noise power alone."""
+    cfg = write_config(tmp_path / "pv.json", L=16, Q=2, mu=5e-3, alpha=10.0,
+                       kappa="OPTIMAL", Pv=1e-4, trials=2, iterations=400,
+                       seed=1, variants=["L0LMS", "RZALMS"])
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    got = {v: hashlib.sha256((out / f"pv_Pv0.0001_curve_{v}.csv")
+                             .read_bytes()).hexdigest()
+           for v in INPUT_REFERRED_GOLDEN}
+    assert got == INPUT_REFERRED_GOLDEN
+    manifest = json.loads((out / "pv_manifest.json").read_text())
+    assert "snr_convention" not in manifest["spec"]
+    assert set(manifest["resolved"]["Pv0.0001"]) == {
+        "Pv", "kappa_opt", "d_inf", "d_lms", "kappa_opt_theory", "d_min",
+        "omega"}
+
+
+def test_za_optimal_at_tiny_mu_runs(tmp_path):
+    """ZA/RZA "OPTIMAL" reads rho_opt without the ZA closed form, so an
+    all-zero system at a mu where that form underflows runs at weight 0
+    and writes its NaN theory column."""
+    cfg = write_config(tmp_path / "rza.json", L=15, Q=0, mu=2.3e-113,
+                       Pv=1e-4, kappa="OPTIMAL", variants=["RZALMS"],
+                       iterations=10)
+    assert main(["theory", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "rza_Pv0.0001_curve_theory.csv")
+    assert header == ["n", "msd_theory", "msd_theory_db"]
+    assert len(rows) == 11
+    assert all(r[1:] == ["nan", "nan"] for r in rows)
+
+
 @pytest.mark.parametrize("variant", ["LMS", "ZALMS"])
 def test_config_sweep_theory_column_follows_variant(tmp_path, variant):
     cfg = write_config(tmp_path / "var.json", L=24, Q=3, mu=2e-3,
@@ -350,20 +406,27 @@ def test_simulate_config_sweep_header(tmp_path):
     assert all(math.isfinite(float(r[2])) for r in rows)
 
 
-def test_overrides_scale_trials_seed_convention(tmp_path):
+def test_overrides_scale_trials_seed_convention(tmp_path, capsys):
+    """--scale, --trials and --seed override the config; the SNR has one
+    convention (against Q*sigma_s^2 of the scaled Q), so there is no
+    flag to choose another."""
     cfg = write_config(tmp_path / "ovr.json", L=100, Q=10, mu=2e-3,
                        alpha=10.0, kappa=0.0, snr_db=40.0, trials=10,
                        iterations=120, seed=1, variants=["LMS"])
     rc = main(["experiment", "--config", cfg, "--out", str(tmp_path),
-               "--scale", "0.2", "--trials", "3", "--seed", "7",
-               "--snr-convention", "INPUT_REFERRED"])
+               "--scale", "0.2", "--trials", "3", "--seed", "7"])
     assert rc == 0
     m = RunManifest.load(tmp_path / "ovr_manifest.json")
     assert (m.spec.L, m.spec.Q) == (20, 2)
     assert m.spec.trials == 3               # explicit --trials wins
     assert m.spec.seed == 7
-    assert m.spec.snr_convention.value == "INPUT_REFERRED"
-    assert m.resolved["40dB"]["Pv"] == pytest.approx(1e-4, rel=1e-12)
+    assert m.resolved["40dB"]["Pv"] == pytest.approx(2e-4, rel=1e-12)
+    with pytest.raises(SystemExit) as ei:
+        main(["theory", "--config", cfg, "--snr-convention",
+              "INPUT_REFERRED"])
+    assert ei.value.code == 1
+    assert "unrecognized arguments: --snr-convention" in \
+        capsys.readouterr().err
 
 
 def test_outdir_env_var_and_flag_priority(tmp_path, monkeypatch):
@@ -738,8 +801,9 @@ def _log_uniform(lo: float, hi: float):
 def _theory_configs(draw):
     """A scalar theory config of at most 32 taps over the whole float
     range of mu, alpha, kappa and sigma_s, at SNRs whose noise power
-    leaves the float range both ways; ``iterations`` is left out at any
-    mu, so the default curve may be far longer than memory."""
+    leaves the float range both ways or at an explicit Pv anywhere in
+    it; ``iterations`` is left out at any mu, so the default curve may
+    be far longer than memory."""
     L = draw(st.integers(1, 32))
     cfg = dict(L=L, Q=draw(st.integers(0, L)), mu=draw(_log_uniform(-300, -1)),
                alpha=draw(_log_uniform(-300, 300)),
@@ -747,9 +811,9 @@ def _theory_configs(draw):
                                     st.just("OPTIMAL"))),
                snr_db=draw(st.floats(-4000, 4000)),
                sigma_s=draw(_log_uniform(-300, 300)),
-               snr_convention=draw(st.sampled_from(
-                   ["OUTPUT_REFERRED", "INPUT_REFERRED"])),
                variants=[draw(st.sampled_from([v.value for v in Variant]))])
+    if draw(st.booleans()):             # any noise but an SNR's
+        cfg["Pv"] = draw(_log_uniform(-300, 300))
     if draw(st.booleans()):
         cfg["iterations"] = draw(st.integers(1, 50))
     return cfg
@@ -808,8 +872,6 @@ _NAMES = st.sampled_from(["LMS", "L0LMS", "ZALMS", "RZALMS", "lms", "", "X"])
     "seed": st.integers(-1, 2**66),
     "variants": st.one_of(st.lists(_NAMES, max_size=3), _NAMES,
                           st.sampled_from([3, None, {}])),
-    "snr_convention": st.sampled_from(["INPUT_REFERRED", "OUTPUT_REFERRED",
-                                       "x"]),
     "system_mode": st.sampled_from(["redraw", "fixed", "x"]),
     "input_model": st.sampled_from(["iid", "delay_line", "x"])}))
 @settings(max_examples=300, deadline=None)
@@ -1279,22 +1341,24 @@ def test_theory_csvs_match_golden(tmp_path):
 
 # sha256 of the JSON text of each preset's expansion at ``--scale 0.25``:
 # the ``[value, kappa]`` pair of every point, then the ``kappa_opt`` or
-# ``kappa_opt_by_<axis>`` records the expansion fills
+# ``kappa_opt_by_<axis>`` records the expansion fills (re-recorded when
+# the entry lost its ``snr_convention`` key: the earlier texts without
+# that key give these digests)
 EXPANSION_GOLDEN = {
     "exp1_20dB":
-        "6325cc781cf54aa49627f40fd1bb01b45577719e6e2edcf907adfc9d4011638d",
+        "4b80d60b20572d23879da60ff7ed8cd8359a38575b1606222cc1ad69023372a9",
     "exp1_40dB":
-        "ca0346815eced7ac228b5b718b87bc4077c7f9b14eb2bd0918f5fd0208cebc3b",
+        "c6c85357d85898bdee253b21413fbfdab37b2e0ed61e364ae8213fa7173a643b",
     "exp2_40dB":
-        "0d176e4d00f8484671d2d5550b3caaa8aa0d29e7a8440272c55447848cac3206",
+        "d573af414152c331e23047c152cc7104f749e88964ffdaff55d1d98b895b5881",
     "exp3_40dB":
-        "e906d236aa9fdadd382c1dfbf823d006e402efd9308b481e33901f920132ceca",
+        "e0b59d631741a207708d545c1b3254a0c84aaa728d56c324a3339e46a6e471d8",
     "exp4_20dB":
-        "1432cace02a04744a5b306b8e85232fbfba9066ff218dc53f142ba38665b8119",
+        "b9593f61d1622ac374f93b2c5eaa8569f72f7d29999f0d9039c77bd56e1424e6",
     "exp4_40dB":
-        "d84fdc13d537c3c1ba64021afebfa2328f13f7908f677b00a82d15f84c5523a2",
+        "ea3ba326081975e2e8d1a90088c0d0e2973a380673274c99e75d5a163cd71190",
     "exp5_40dB":
-        "4e64c388c988568fec3899f0e97b56d2f9e75d3b3d977dd48df2c1f5096ef34f",
+        "197b685796e9a1b54ebf3db4c847f4c8f11ad64adb79ff85919c5415e4285996",
 }
 
 
@@ -1331,16 +1395,18 @@ GOLDEN_CONFIGS = {
 }
 
 # sha256 of every file ``experiment --config`` writes for GOLDEN_CONFIGS,
-# with the manifest's timestamp blanked
+# with the manifest's timestamp blanked (the manifests re-recorded when
+# they lost their two ``snr_convention`` keys: the earlier manifests
+# without those keys give these digests)
 CONFIG_GOLDEN = {
     "kappa_sweep_40dB_kappa_sweep.csv":
         "f5e95cec0a0b6ef836af8bdb17b5ed39908f8e726b82e072fd83e803829ac703",
     "kappa_sweep_manifest.json":
-        "359da16408b20b172544c4ded700522ddf9b8e006294fd5e928e17237194d352",
+        "8fc21d6f416ab4a8ed87350fe404958571879f36651018c17a17c6fc9350d185",
     "mu_sweep_40dB_mu_sweep.csv":
         "b79e9b8cfac7f002059dbe2050017f3903297dbe04bc8b6dabe209fc9b4c7128",
     "mu_sweep_manifest.json":
-        "3d71fb6c7941c355e8f68e9de4ee4119debeea8bb77f0aa40e73bca056353fd7",
+        "029f61a1b267e5e785df8fb0f265bc3b8c817777430186ced8a1e01857bc72f5",
     "variants_40dB_curve_L0LMS.csv":
         "1444520eba51c47f8acda3acaac912c0a2158f7e56e6cfc093c0069a6cf0ceb2",
     "variants_40dB_curve_LMS.csv":
@@ -1350,7 +1416,7 @@ CONFIG_GOLDEN = {
     "variants_40dB_curve_ZALMS.csv":
         "d957cf79f0c302a5a17d4fa64dc4de0a2af61a4cc67a812048b7dfed29d0f3b6",
     "variants_manifest.json":
-        "72e26c5c56d75930b3ca7f4730087798cfbe057c142e6f2c6969b6c9b339f622",
+        "13bd51c5593318e82469ad4d0eb1d316bd0b5f4ede9bb4e438b7fa2945c46ff9",
 }
 
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from sparselms import (
     ExperimentSpec,
     NotConvergedError,
-    SnrConvention,
     Variant,
     closed_form,
     default_iterations,
@@ -146,11 +145,10 @@ def test_spec_sweep_normalization():
 
 
 def test_noise_power_conventions():
+    """An SNR is taken against the ensemble output power Q*sigma_s^2;
+    any other noise is an explicit Pv, which wins over an SNR."""
     out = ExperimentSpec(L=1000, Q=100, mu=8e-4, snr_db=40.0, trials=1)
     assert noise_power(out) == pytest.approx(0.01, rel=1e-12)
-    inp = ExperimentSpec(L=1000, Q=100, mu=8e-4, snr_db=40.0, trials=1,
-                         snr_convention=SnrConvention.INPUT_REFERRED)
-    assert noise_power(inp) == pytest.approx(1e-4, rel=1e-12)
     explicit = small_spec(snr_db=40.0, Pv=0.5)
     assert noise_power(explicit) == 0.5
     with pytest.raises(ValueError, match="all-zero system"):
@@ -170,6 +168,22 @@ def test_resolve_kappa_optimal_matches_theory():
     za = ExperimentSpec(L=1000, Q=100, mu=8e-4, kappa="OPTIMAL", snr_db=40.0,
                         trials=1, variants=(Variant.ZALMS,))
     assert resolve_kappa(za) == pytest.approx(2.2766700834959032e-6, rel=1e-8)
+
+
+def test_resolve_kappa_reads_rho_opt_without_the_za_form(monkeypatch):
+    """ZA and RZA "OPTIMAL" is rho_opt, read directly: the same bits as
+    za_steady_msd reports, without evaluating the ZA closed form at
+    rho = 0, where no run is made.  On an all-zero system at a tiny mu,
+    where that form underflows, the weight is 0."""
+    za = ExperimentSpec(L=1000, Q=100, mu=8e-4, kappa="OPTIMAL",
+                        snr_db=40.0, trials=1, variants=(Variant.ZALMS,))
+    want = simulate.theory.za_steady_msd(1000, 100, 8e-4, 0.0, 1.0,
+                                         0.01).rho_opt
+    monkeypatch.setattr(simulate.theory, "za_steady_msd", None)
+    assert resolve_kappa(za) == want == 2.2766700834959032e-6
+    tiny = ExperimentSpec(L=15, Q=0, mu=2.3e-113, kappa="OPTIMAL", Pv=1e-4,
+                          variants=(Variant.RZALMS,))
+    assert resolve_kappa(tiny) == 0.0
 
 
 def test_scalar_params_variant_wiring():
@@ -217,9 +231,7 @@ def test_run_trials_rejects_misshapen_systems():
 
 
 def test_run_trial_zero_system_zero_noise_is_identically_zero():
-    spec = small_spec(Q=0, Pv=None, snr_db=40.0,
-                      snr_convention=SnrConvention.INPUT_REFERRED)
-    object.__setattr__(spec, "Pv", 0.0)      # exact noise-free run
+    spec = small_spec(Q=0, Pv=0.0)          # exact noise-free run
     sysm = gen_system(spec.L, 0, spec.seed)
     dev, _, _ = run_trials(spec, [sysm])
     assert np.all(dev == 0.0)

@@ -19,7 +19,6 @@ from sparselms import (
     ExperimentSpec,
     ParameterRangeError,
     SignalModel,
-    SnrConvention,
     StabilityError,
     SteadyStateReport,
     Variant,
@@ -39,6 +38,7 @@ from sparselms import (
     tapwise_recursion,
     za_steady_msd,
 )
+from sparselms import theory
 from sparselms.theory import betas, solve_omega
 
 FLAGSHIP = dict(L=1000, Q=100, mu=8e-4, alpha=10.0, Px=1.0, Pv=0.01)
@@ -58,22 +58,10 @@ def flagship_report(kappa):
 
 
 def test_signal_output_referred_flagship():
-    sig = SignalModel.from_snr(1.0, 40.0, SnrConvention.OUTPUT_REFERRED, Q=100)
+    sig = SignalModel.from_snr(1.0, 40.0, Q=100)
     assert sig.Pv == pytest.approx(0.01, rel=1e-12)
-    sig20 = SignalModel.from_snr(1.0, 20.0, SnrConvention.OUTPUT_REFERRED, Q=100)
+    sig20 = SignalModel.from_snr(1.0, 20.0, Q=100)
     assert sig20.Pv == pytest.approx(1.0, rel=1e-12)
-
-
-def test_signal_output_referred_uses_actual_system():
-    s = np.zeros(50)
-    s[:2] = [3.0, 4.0]                      # ||s||^2 = 25
-    sig = SignalModel.from_snr(1.0, 40.0, SnrConvention.OUTPUT_REFERRED, s=s)
-    assert sig.Pv == pytest.approx(25.0 * 1e-4, rel=1e-12)
-
-
-def test_signal_input_referred():
-    sig = SignalModel.from_snr(2.0, 30.0, SnrConvention.INPUT_REFERRED)
-    assert sig.Pv == pytest.approx(2.0 * 1e-3, rel=1e-12)
 
 
 def test_signal_validation():
@@ -81,19 +69,15 @@ def test_signal_validation():
         SignalModel(Px=1.0, Pv=0.0)
     with pytest.raises(ValueError):
         SignalModel(Px=0.0, Pv=0.01)
-    for zero in (dict(Q=0), dict(s=np.zeros(8))):
-        with pytest.raises(ValueError, match="undefined for an all-zero"):
-            SignalModel.from_snr(1.0, 40.0, **zero)
-    # the input-referred convention does not read the system
-    assert SignalModel.from_snr(1.0, 40.0, SnrConvention.INPUT_REFERRED,
-                                Q=0).Pv == pytest.approx(1e-4, rel=1e-12)
+    with pytest.raises(ValueError, match="undefined for an all-zero"):
+        SignalModel.from_snr(1.0, 40.0, Q=0)
 
 
 def test_low_snr_warning():
     f = FLAGSHIP
     stg = strengths(f["alpha"], Q=f["Q"])
     p = AlgoParams(variant=Variant.L0LMS, mu=f["mu"], kappa=1e-7, alpha=f["alpha"])
-    sig = SignalModel.from_snr(1.0, 20.0, SnrConvention.OUTPUT_REFERRED, Q=f["Q"])
+    sig = SignalModel.from_snr(1.0, 20.0, Q=f["Q"])
     with pytest.warns(RuntimeWarning, match="dB is low"):
         l0_steady_msd((f["L"], f["Q"], stg), p, sig)
 
@@ -474,3 +458,45 @@ def test_za_reference_route_keeps_digits_at_tiny_mu():
     with pytest.raises(ParameterRangeError, match=re.escape(
             "za_steady_msd leaves the float range at mu=1e-103, rho=0.0")):
         za_steady_msd(16, 2, 1e-103, 0.0, 1.0, 2e-4)
+
+
+def test_l0_digit_loss_at_tiny_mu_is_a_range_refusal(monkeypatch):
+    """On a drawn system with no small taps at a tiny mu, sqrt(e2) and
+    sqrt(e3) agree to more digits than a float holds, so beta1 - beta2
+    is lost: the float-range rule refuses at the caller's point, not
+    the dual-route check.  A disagreement with its digits intact is
+    still the check's."""
+    s = gen_system(16, 2, 1)
+    sig = SignalModel(Px=1.0, Pv=2e-4)
+    p = AlgoParams(variant=Variant.L0LMS, mu=1e-30, kappa=1e-6, alpha=10.0)
+    with pytest.raises(ParameterRangeError, match=re.escape(
+            "l0_steady_msd leaves the float range at mu=1e-30, alpha=10.0, "
+            "kappa=1e-06")):
+        l0_steady_msd(s, p, sig)
+    solve = theory.solve_omega
+    monkeypatch.setattr(theory, "solve_omega",
+                        lambda *a: solve(*a) * (1 + 1e-6))
+    with pytest.raises(theory.ConsistencyError,
+                       match="steady-state forms disagree"):
+        flagship_report(3.7e-7)
+
+
+def test_za_underflow_is_a_range_refusal(monkeypatch):
+    """Where the ZA closed form's products underflow (rho*pair_num at
+    rho_opt from mu*Px ~ 1e-70, mu^3 at rho = 0 with Q = 0), the
+    float-range rule refuses at the caller's mu and rho.  A disagreement
+    without underflow is still the dual-route check's."""
+    rho = za_steady_msd(16, 2, 1e-80, 0.0, 1.0, 2e-4).rho_opt
+    for args, point in (((16, 2, 1e-80, rho, 1.0, 2e-4),
+                         f"mu=1e-80, rho={rho}"),
+                        ((15, 0, 2.3e-113, 0.0, 1.0, 1e-4),
+                         "mu=2.3e-113, rho=0.0")):
+        with pytest.raises(ParameterRangeError, match=re.escape(
+                f"za_steady_msd leaves the float range at {point}")):
+            za_steady_msd(*args)
+    # the float form reads math.pi, the decimal route its own digits
+    f = FLAGSHIP
+    monkeypatch.setattr(theory.math, "pi", 3.1416)
+    with pytest.raises(theory.ConsistencyError,
+                       match="ZA steady-state forms disagree"):
+        za_steady_msd(f["L"], f["Q"], f["mu"], 2e-6, f["Px"], f["Pv"])
