@@ -17,7 +17,8 @@ appears as a ``*_db`` column.  Linear values are written with 17
 significant digits, dB values with 4 decimals.
 
 Exit codes: 0 success, 1 validation error, 2 divergence detected,
-3 tolerance failure in ``compare``.
+3 tolerance failure in ``compare``.  A simulated steady value that has
+not settled (``Trajectory.settled``) gets one ``note:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -356,22 +357,31 @@ class _Run:
         self.files.append(fn)
         print(f"wrote {self.out / fn} ({len(keys)} rows)")
 
-    def sim_steady(self, spec: ExperimentSpec) -> tuple[float, float]:
-        """Monte Carlo steady estimate and its 95% CI half-width."""
+    def sim_steady(self, spec: ExperimentSpec, stem: str,
+                   point: str) -> tuple[float, float]:
+        """Monte Carlo steady estimate and its 95% CI half-width.  A run
+        that has neither diverged nor settled gets a stderr note naming
+        the file stem and the point."""
         traj = monte_carlo(spec, workers=self.workers)
         self.diverged |= traj.diverged
         ci = math.nan
         if traj.trials > 1 and not traj.diverged:
             ci = 1.96 * float(np.std(traj.trial_steady, ddof=1)) \
                 / math.sqrt(traj.trials)
+        if not (traj.diverged or traj.settled):
+            print(f"note: {stem}{self.suffix} {point}: steady value has not "
+                  f"settled (log10 MSD slope {traj.steady_slope:.2e}/step "
+                  f"over the last {traj.steady_window} entries); raise "
+                  "iterations", file=sys.stderr)
         return traj.steady_estimate, ci
 
-    def steady_columns(self, points) -> dict:
+    def steady_columns(self, stem: str, axis: str, points) -> dict:
         cols = {}
         if self.want_theory:
             cols["msd_theory"] = [_theory(sp) for _, sp in points]
         if self.want_sim:
-            sims = [self.sim_steady(sp) for _, sp in points]
+            sims = [self.sim_steady(sp, stem, f"{axis}={v:g}")
+                    for v, sp in points]
             cols["msd_sim"] = [m for m, _ in sims]
             cols["msd_sim_ci"] = [ci for _, ci in sims]
         return cols
@@ -391,7 +401,7 @@ class _Run:
 
 
 def _reference_columns(base: ExperimentSpec, points, run: _Run,
-                       entry: dict) -> dict:
+                       entry: dict, stem: str) -> dict:
     """ZA/RZA reference columns at the sign-attractor optimum rho_opt
     (recorded in ``entry``): the ZA closed form and one ZA run, neither
     of which depends on the swept alpha, and an RZA run at every point
@@ -406,11 +416,12 @@ def _reference_columns(base: ExperimentSpec, points, run: _Run,
         cols["msd_theory_za"] = [za] * len(points)
     if run.want_sim:
         za, _ = run.sim_steady(replace(base, variants=(Variant.ZALMS,),
-                                       kappa=rho, alpha=1.0))
+                                       kappa=rho, alpha=1.0), stem, "ZALMS")
         cols["msd_sim_za"] = [za] * len(points)
         cols["msd_sim_rza"] = [
-            run.sim_steady(replace(sp, variants=(Variant.RZALMS,),
-                                   kappa=rho))[0] for _, sp in points]
+            run.sim_steady(replace(sp, variants=(Variant.RZALMS,), kappa=rho),
+                           stem, f"alpha={v:g} RZALMS")[0]
+            for v, sp in points]
     return cols
 
 
@@ -431,16 +442,16 @@ def _run_sweep(run: _Run, stem: str, sweep: Sweep, base: ExperimentSpec,
         for v, sp in points:
             run.curve(f"{stem}_{sweep.curve.format(v)}", sp)
         return points
-    cols = run.steady_columns(points)
+    stem = f"{stem}_{sweep.axis}_sweep"
+    cols = run.steady_columns(stem, sweep.axis, points)
     if sweep.reference:
-        cols.update(_reference_columns(base, points, run, entry))
-    run.emit(f"{stem}_{sweep.axis}_sweep", sweep.axis,
-             [v for v, _ in points], cols)
+        cols.update(_reference_columns(base, points, run, entry, stem))
+    run.emit(stem, sweep.axis, [v for v, _ in points], cols)
     return points
 
 
 def _low_snr_note(snr: float) -> None:
-    if snr < 30:
+    if snr < theory.LOW_SNR_DB:
         print(f"note: {snr:g} dB SNR is low; closed forms are approximate "
               "there, expect a visible theory-vs-simulation gap")
 

@@ -74,10 +74,10 @@ from .kernels import ATTRACTORS, AlgoParams, Variant, _as_systems
 
 __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
-    "ExperimentSpec", "Trajectory", "NotConvergedError", "run_trials",
-    "monte_carlo", "estimate_steady", "noise_power", "closed_form",
-    "default_iterations", "iteration_count", "require_memory",
-    "resolve_kappa", "DIVERGENCE_FACTOR", "INPUT_MODELS",
+    "ExperimentSpec", "Trajectory", "run_trials", "monte_carlo",
+    "noise_power", "closed_form", "default_iterations", "iteration_count",
+    "require_memory", "resolve_kappa", "DIVERGENCE_FACTOR",
+    "SLOPE_THRESHOLD", "INPUT_MODELS",
 ]
 
 SYSTEM_ROLE = 0
@@ -85,6 +85,7 @@ INPUT_ROLE = 1
 NOISE_ROLE = 2
 
 DIVERGENCE_FACTOR = 1e6
+SLOPE_THRESHOLD = 1e-5      # settled: |log10 MSD slope| per step below this
 
 INPUT_MODELS = ("delay_line", "iid")
 _BLOCK = 1 << 14            # samples per stream block, all rows together
@@ -104,20 +105,6 @@ def _finite_number(v) -> bool:
                 and math.isfinite(v))
     except OverflowError:
         return False
-
-
-class NotConvergedError(RuntimeError):
-    """Steady-state estimate requested on a series that is still moving.
-
-    Carries the measured decimal-log slope per iteration in ``slope``.
-    """
-
-    def __init__(self, slope: float, threshold: float):
-        super().__init__(
-            f"log-MSD slope {slope:.3e}/iter exceeds the convergence "
-            f"threshold {threshold:.1e}/iter")
-        self.slope = slope
-        self.threshold = threshold
 
 
 def stream(seed: int, trial: int, role: int) -> np.random.Generator:
@@ -258,7 +245,13 @@ def noise_power(spec: ExperimentSpec) -> float:
 
 @theory._in_float_range
 def default_iterations(L: int, Q: int, mu: float, Px: float) -> int:
-    """Ten convergence time constants, 1/(mu*Px*delta_L) each."""
+    """Ten convergence time constants, 1/(mu*Px*delta_L) each.
+
+    That is 43.4 dB of decay of the LMS mode, which can stop short of the
+    floor of a point that starts farther above it (a high SNR, or the l0
+    variant's slower mode); ``Trajectory.settled`` reports it, and the
+    CLI prints a note for each such steady point.
+    """
     theory._require_stable(L, mu, Px)
     rate = mu * Px * theory.deltas(L, Q, mu, Px).delta_L
     return int(math.ceil(10.0 / rate))
@@ -321,7 +314,11 @@ class Trajectory:
     point, ``n_diverged`` counts the diverged trials, and the steady
     values are NaN and None.  Otherwise ``steady_estimate`` is the plain
     mean of the final tenth of ``msd`` and ``trial_steady`` holds each
-    trial's mean over the same window.
+    trial's mean over the same window.  Whether that value has settled
+    is read from the final third: ``steady_slope`` is the least-squares
+    slope of log10 ``msd`` per step over its last ``steady_window``
+    entries (inf after a divergence), and ``settled`` holds when its
+    magnitude is below ``SLOPE_THRESHOLD``.
     """
 
     msd: np.ndarray
@@ -338,6 +335,24 @@ class Trajectory:
     def diverged_at(self) -> int | None:
         """The earliest divergence point, the last entry of ``msd``."""
         return self.msd.size - 1 if self.n_diverged else None
+
+    @property
+    def steady_window(self) -> int:
+        return max(1, round(self.msd.size / 3))
+
+    @property
+    def steady_slope(self) -> float:
+        if self.diverged:
+            return math.inf
+        win = self.msd[-self.steady_window:]
+        if np.ptp(win) == 0.0:
+            return 0.0
+        y = np.log10(np.maximum(win, 1e-300))
+        return float(np.polyfit(np.arange(win.size, dtype=float), y, 1)[0])
+
+    @property
+    def settled(self) -> bool:
+        return abs(self.steady_slope) < SLOPE_THRESHOLD
 
 
 def require_memory(spec: ExperimentSpec, rows: int) -> None:
@@ -531,33 +546,3 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
         msd=msd, trials=spec.trials, n_diverged=n_div,
         steady_estimate=math.nan if n_div else float(np.mean(msd[-window:])),
         trial_steady=None if n_div else dev[:, -window:].mean(axis=1))
-
-
-SLOPE_THRESHOLD = 1e-5      # decimal-log MSD slope per iteration
-
-
-def _log_slope(win: np.ndarray) -> float:
-    if np.ptp(win) == 0.0:
-        return 0.0
-    y = np.log10(np.maximum(win, 1e-300))
-    x = np.arange(win.size, dtype=float)
-    return float(np.polyfit(x, y, 1)[0])
-
-
-def estimate_steady(traj: Trajectory, window: int) -> float:
-    """Mean of the final ``window`` MSD entries, gated on convergence.
-
-    The least-squares slope of the decimal-log MSD over that window must
-    stay below 1e-5 per iteration in magnitude; otherwise
-    :class:`NotConvergedError` reports the measured slope.
-    """
-    msd = np.asarray(traj.msd, dtype=float)
-    if not 1 <= window <= msd.size:
-        raise ValueError(f"window must be in [1, {msd.size}], got {window}")
-    if traj.diverged:
-        raise NotConvergedError(math.inf, SLOPE_THRESHOLD)
-    win = msd[-window:]
-    slope = _log_slope(win)
-    if abs(slope) >= SLOPE_THRESHOLD:
-        raise NotConvergedError(slope, SLOPE_THRESHOLD)
-    return float(np.mean(win))

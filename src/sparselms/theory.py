@@ -523,11 +523,14 @@ def _require_agreement(forms: str, primary: float, other: float,
         raise ConsistencyError(f"{forms} disagree: {primary!r} vs {other!r}")
 
 
+LOW_SNR_DB = 30.0       # below this SNR the closed forms degrade
+
+
 def _low_snr_warning(signal: SignalModel):
-    if signal.snr_db is not None and signal.snr_db < 30:
+    if signal.snr_db is not None and signal.snr_db < LOW_SNR_DB:
         warnings.warn(
             f"SNR {signal.snr_db} dB is low; the steady-state and "
-            "transient formulas degrade noticeably below 30 dB",
+            f"transient formulas degrade noticeably below {LOW_SNR_DB:g} dB",
             RuntimeWarning, stacklevel=4)
 
 
@@ -561,9 +564,11 @@ def l0_steady_msd(system_or_strengths, params: AlgoParams,
                 + kappa ** 2 * D0p * st.G / (mu ** 2 * Px ** 2 * DQ))
     # beta1 - beta2 below one rounding unit of beta1 (a tiny mu with no
     # small taps, sqrt(e2) and sqrt(e3) agreeing to more digits than a
-    # float holds) is known to fewer digits than the check asks
+    # float holds) is known to fewer digits than the check asks, and so
+    # is the power balance once its noise term mu^2*Px*Pv underflows
     _require_agreement("steady-state forms", d_inf, d_inf_om,
-                       b.diff < np.finfo(float).eps * b.beta1)
+                       b.diff < np.finfo(float).eps * b.beta1
+                       or mu ** 2 * Px * Pv < np.finfo(float).tiny)
 
     ko, dmin, bound = optimal_kappa(b, d, L, mu, Pv)
     return SteadyStateReport(omega=om, d_inf=d_inf,
@@ -673,16 +678,21 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
         gain_den = pair_hi * mu ** 2 * Px ** 2 * DL ** 2
         attract_gain = -(L - Q) * rho * pair_num / gain_den
         products += [rho * pair_num, gain_den]
-    d_za = attract_gain + lms_num / lms_den
+    lms_term = lms_num / lms_den
+    d_za = attract_gain + lms_term
 
     # independent route: quadratic in the zero-tap deviation scale y.
     # The route is badly conditioned in binary64 (the MSD can sit many
     # orders below its intermediate terms), so the reference is computed
-    # in decimal, 40 digits or, below mu*Px = 1e-10, 30 more than the
-    # decades of mu*Px (it needs about 20 more); the consistency gate then
-    # probes the closed form above, not the reference's rounding.
+    # in decimal, 40 digits or 30 more than the decades of 1/(mu*Px) and
+    # twice those of rho/(mu*Px) where rho is the larger (its y^2 - t
+    # cancels about that many; the MSD's own decades need about 20 more);
+    # the consistency gate then probes the closed form above, not the
+    # reference's rounding.
+    px_decades = -math.log10(mu * Px)
+    rho_decades = max(0.0, math.log10(rho) + px_decades) if rho else 0.0
     with decimal.localcontext() as ctx:
-        ctx.prec = max(40, 30 + math.ceil(-math.log10(mu * Px)))
+        ctx.prec = max(40, 30 + math.ceil(px_decades + 2 * rho_decades))
         pi_d = decimal.Decimal("3.141592653589793238462643383279502884197")
         mu_d, rho_d = decimal.Decimal(mu), decimal.Decimal(rho)
         px_d, pv_d = decimal.Decimal(Px), decimal.Decimal(Pv)
@@ -698,8 +708,12 @@ def za_steady_msd(L: int, Q: int, mu: float, rho: float, Px: float,
             / (2 * pi_d * mu_d ** 2 * px_d ** 2)
         dy_d = 2 / (mu_d * px_d) * (y_d * y_d - t_d) - pv_d / px_d
     y, d_y = float(y_d), float(dy_d)
+    # digits are lost where a product underflows, or where the attraction
+    # gain cancels lms_term to below the check's 1e-9 in binary64
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     _require_agreement("ZA steady-state forms", d_za, d_y,
-                       min(products) < np.finfo(float).tiny)
+                       min(products) < tiny
+                       or 1e-9 * abs(d_za) < eps * lms_term)
     return ZASteadyReport(d_inf_za=d_za, gamma=gamma, y=y, rho_opt=rho_opt)
 
 

@@ -343,6 +343,48 @@ def test_za_optimal_at_tiny_mu_runs(tmp_path):
     assert all(r[1:] == ["nan", "nan"] for r in rows)
 
 
+def test_l0_optimal_at_tiny_noise_power_is_a_range_refusal(tmp_path, capsys):
+    """At Pv = 1e-300 the power balance's mu^2*Px*Pv underflows, so the
+    optimum is refused by the float-range rule, at "OPTIMAL"."""
+    cfg = write_config(tmp_path / "pv.json", L=16, Q=2, mu=1e-6, alpha=10.0,
+                       Pv=1e-300, kappa="OPTIMAL")
+    assert main(["theory", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: resolve_kappa leaves the float range at mu=1e-06, "
+        "alpha=10.0, kappa=OPTIMAL\n")
+
+
+# an untimed point whose default run (ten LMS time constants, 43.4 dB of
+# decay) stops short of the floor it starts 49.5-56.6 dB above
+UNSETTLED = dict(L=250, Q=25, mu=8e-4, alpha=10.0, snr_db=40.0, trials=5,
+                 seed=1, kappa=[0.0, 1.811e-7], variants=["L0LMS"])
+# sha256 of its sweep file, as written before the note existed
+UNSETTLED_GOLDEN = \
+    "a1e4d9e7b85cc684405966beead26ffcfb5e64ff102dbab4eaf529c58000ff4f"
+
+
+def test_unsettled_steady_points_get_a_note(tmp_path, capsys):
+    """Each steady point whose final third still falls gets one stderr
+    note; the file and the exit code are those of a run without it.
+    Given enough iterations, the same sweep settles and prints none."""
+    cfg = write_config(tmp_path / "untimed.json", **UNSETTLED)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
+    notes = capsys.readouterr().err.splitlines()
+    assert len(notes) == 2
+    for note, point in zip(notes, ("kappa=0", "kappa=1.811e-07")):
+        assert re.fullmatch(
+            rf"note: untimed_40dB_kappa_sweep {point}: steady value has not "
+            r"settled \(log10 MSD slope -[67]\.\d\de-04/step over the "
+            r"last 2317 entries\); raise iterations", note), note
+    csv_bytes = (tmp_path / "untimed_40dB_kappa_sweep.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == UNSETTLED_GOLDEN
+
+    cfg = write_config(tmp_path / "timed.json", **UNSETTLED,
+                       iterations=30000)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("variant", ["LMS", "ZALMS"])
 def test_config_sweep_theory_column_follows_variant(tmp_path, variant):
     cfg = write_config(tmp_path / "var.json", L=24, Q=3, mu=2e-3,

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: stream pinning, trial mechanics, averaging, steady gate."""
+"""Monte Carlo harness: stream pinning, trial mechanics, averaging, steady rule."""
 
 from __future__ import annotations
 
@@ -18,11 +18,9 @@ from hypothesis import strategies as st
 
 from sparselms import (
     ExperimentSpec,
-    NotConvergedError,
     Variant,
     closed_form,
     default_iterations,
-    estimate_steady,
     gen_system,
     lms_theory,
     monte_carlo,
@@ -636,14 +634,14 @@ def test_monte_carlo_steady_fields():
     # the final 10% by default
     assert traj.steady_estimate == float(np.mean(traj.msd[-2000:]))
     assert traj.trial_steady is not None and traj.trial_steady.shape == (10,)
-    assert estimate_steady(traj, 2000) == traj.steady_estimate   # settled
+    assert traj.settled
     # per-trial means average to the ensemble mean of the same window
     assert float(np.mean(traj.trial_steady)) == pytest.approx(
         traj.steady_estimate, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# estimate_steady
+# the steady rule: steady_slope and settled over the final third
 # ---------------------------------------------------------------------------
 
 
@@ -653,37 +651,33 @@ def _fake_traj(msd):
                       steady_estimate=float(msd[-1]))
 
 
-def test_estimate_steady_constant_series():
+def test_steady_slope_constant_series():
     traj = _fake_traj(np.full(1000, 3.5e-4))
-    assert estimate_steady(traj, window=100) == pytest.approx(3.5e-4, rel=1e-12)
+    assert traj.steady_window == 333
+    assert traj.steady_slope == 0.0 and traj.settled
 
 
-def test_estimate_steady_settled_geometric_curve():
+def test_steady_slope_settled_geometric_curve():
     d_inf, d0, lam = 2e-4, 10.0, 0.999
     n = np.arange(40000)
     traj = _fake_traj(d_inf + (d0 - d_inf) * lam**n)
-    got = estimate_steady(traj, window=2000)
-    assert got == pytest.approx(d_inf, rel=1e-3)
+    assert traj.steady_window == 13333
+    assert abs(traj.steady_slope) < 1e-9 and traj.settled
 
 
-def test_estimate_steady_rejects_drifting_series():
+def test_steady_slope_flags_drifting_series():
     n = np.arange(5000)
     traj = _fake_traj(1e-4 * np.exp(2e-4 * n))       # still rising
-    with pytest.raises(NotConvergedError) as exc:
-        estimate_steady(traj, window=1000)
-    assert exc.value.slope > 1e-5
+    # log10 of the series is exactly linear: 2e-4/ln(10) per step
+    assert traj.steady_slope == pytest.approx(2e-4 / math.log(10), rel=1e-9)
+    assert not traj.settled
 
 
-def test_estimate_steady_rejects_divergence_and_bad_window():
+def test_steady_slope_infinite_after_divergence():
     spec = small_spec(mu=1.2 * mu_max(32, 1.0), iterations=4000, Pv=1e-2)
     traj = monte_carlo(spec)
-    with pytest.raises(NotConvergedError):
-        estimate_steady(traj, window=50)
-    good = _fake_traj(np.full(100, 1e-4))
-    with pytest.raises(ValueError, match="window"):
-        estimate_steady(good, window=0)
-    with pytest.raises(ValueError, match="window"):
-        estimate_steady(good, window=101)
+    assert traj.diverged
+    assert traj.steady_slope == math.inf and not traj.settled
 
 
 # ---------------------------------------------------------------------------

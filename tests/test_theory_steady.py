@@ -500,3 +500,16 @@ def test_za_underflow_is_a_range_refusal(monkeypatch):
     with pytest.raises(theory.ConsistencyError,
                        match="ZA steady-state forms disagree"):
         za_steady_msd(f["L"], f["Q"], f["mu"], 2e-6, f["Px"], f["Pv"])
+
+
+def test_za_cancellation_is_a_range_refusal():
+    """On an all-zero system at a weight far above mu*Px, the attraction
+    gain cancels the rho^2 term of the float form to below the check's
+    digits: the float-range rule refuses.  With two non-zero taps the
+    same point keeps its value."""
+    for mu in (1e-20, 1e-30):
+        with pytest.raises(ParameterRangeError, match=re.escape(
+                f"za_steady_msd leaves the float range at mu={mu}, "
+                "rho=1e-06")):
+            za_steady_msd(16, 0, mu, 1e-6, 1.0, 1e-4)
+    assert za_steady_msd(16, 2, 1e-20, 1e-6, 1.0, 1e-4).d_inf_za == 2e28
