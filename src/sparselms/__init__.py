@@ -10,9 +10,10 @@ __version__ = "0.1.0"
 from .kernels import AlgoParams, Variant, step
 from . import theory
 from .theory import *                # every name in theory.__all__
-from .simulate import (ExperimentSpec, Trajectory, closed_form,
-                       default_iterations, gen_system, monte_carlo,
-                       noise_power, resolve_kappa, run_trials, stream)
+from .simulate import (ExperimentSpec, Trajectories, Trajectory,
+                       closed_form, default_iterations, gen_system,
+                       monte_carlo, noise_power, resolve_kappa, run_trials,
+                       stream)
 
 __all__ = [
     "__version__",
@@ -21,7 +22,8 @@ __all__ = [
     # theory
     *theory.__all__,
     # simulation
-    "ExperimentSpec", "Trajectory", "closed_form", "default_iterations",
+    "ExperimentSpec", "Trajectories", "Trajectory", "closed_form",
+    "default_iterations",
     "gen_system", "monte_carlo", "noise_power", "resolve_kappa",
     "run_trials", "stream",
 ]

@@ -386,18 +386,23 @@ class _Run:
             cols["msd_sim_ci"] = [ci for _, ci in sims]
         return cols
 
-    def curve(self, stem: str, spec: ExperimentSpec) -> None:
-        n = np.arange(iteration_count(spec) + 1)
-        cols = {}
-        if self.want_theory:
-            cols["msd_theory"] = _theory(spec, n)
+    def curves(self, stems, points) -> None:
+        """One learning-curve file per point, under its stem; the points
+        are simulated as one group, in one ``monte_carlo`` call."""
+        trajs = [None] * len(points)
         if self.want_sim:
-            traj = monte_carlo(spec, workers=self.workers)
-            self.diverged |= traj.diverged
-            n = n[:traj.msd.size]           # cut at a divergence
-            cols = {c: v[:n.size] for c, v in cols.items()}
-            cols["msd_sim"] = traj.msd
-        self.emit(stem, "n", n, cols)
+            trajs = monte_carlo(points, workers=self.workers)
+            self.diverged |= trajs.n_diverged > 0
+        for stem, spec, traj in zip(stems, points, trajs):
+            n = np.arange(iteration_count(spec) + 1)
+            cols = {}
+            if self.want_theory:
+                cols["msd_theory"] = _theory(spec, n)
+            if traj is not None:
+                n = n[:traj.msd.size]           # cut at a divergence
+                cols = {c: v[:n.size] for c, v in cols.items()}
+                cols["msd_sim"] = traj.msd
+            self.emit(stem, "n", n, cols)
 
 
 def _reference_columns(base: ExperimentSpec, points, run: _Run,
@@ -430,17 +435,23 @@ def _run_sweep(run: _Run, stem: str, sweep: Sweep, base: ExperimentSpec,
     """Expand one sweep at one noise level, write its files and return
     its points.  Every point is checked before the first is evaluated:
     its parameters and, where it is simulated or written as a curve, its
-    arrays (whose step count needs a stable mu when the run is untimed)."""
+    arrays (whose step count needs a stable mu when the run is untimed).
+    A simulated curve sweep runs as one group, so its arrays are counted
+    for the whole group."""
     points = expand(base, sweep, entry)
+    specs = [sp for _, sp in points]
     rows = ((_CURVE_SERIES if sweep.curve is not None else 0)
             + (base.trials if run.want_sim else 0))
-    for _, sp in points:
+    for sp in specs:
         _scalar_params(sp)
-        if rows:
+    if sweep.curve is not None and run.want_sim:    # one group, held at once
+        require_memory(specs, rows)
+    elif rows:
+        for sp in specs:
             require_memory(sp, rows)
     if sweep.curve is not None:
-        for v, sp in points:
-            run.curve(f"{stem}_{sweep.curve.format(v)}", sp)
+        run.curves([f"{stem}_{sweep.curve.format(v)}" for v, _ in points],
+                   specs)
         return points
     stem = f"{stem}_{sweep.axis}_sweep"
     cols = run.steady_columns(stem, sweep.axis, points)

@@ -18,6 +18,19 @@ count of a parameter point (a spec with no sweep, a numeric kappa and
 one variant) from that spec alone, and matches the per-trial loop over
 ``kernels.step`` bit for bit.
 
+The engine and :func:`monte_carlo` take a group: one point, or a
+sequence of points that share every draw key (L, Q, seed, trials, the
+step count, input model, system mode, Px, sigma_s and the noise power)
+and may differ in variant, mu, kappa and alpha only; a group that
+differs in a key is refused, naming it, before anything is drawn.  The
+run goes block by block, then point by point: each stream block's
+regressors and noise are drawn, and its desired outputs formed, once
+for the whole group, and then every point advances its own weight array
+over that block (the points share the step buffers, not their state).
+A group runs in one process pool, sharded by trial.  A point's bits
+depend neither on its group nor on its place in it, and
+:func:`require_memory` counts what the whole group holds at once.
+
 Each engine step runs only the row-wise arithmetic that depends on the
 weights, and every piece keeps the bits of the per-step form:
 
@@ -28,13 +41,14 @@ weights, and every piece keeps the bits of the per-step form:
   a contiguous i.i.d. regressor.  The error then rounds as
   ``(x.s + v) - x.w``, as in ``kernels.step``.
 - The update, the deviation and the attraction are written into
-  preallocated buffers.  The attractor comes from
-  ``kernels.ATTRACTORS``, prepared once per run for the run's alpha and
-  its attraction buffer (its constants and one scratch row per row) and
-  evaluated in place; the l0 attractor clears the taps outside its range
-  by a bit mask, not a select.  The step's ufuncs, the error column, the
-  block's regressors and desired outputs by step and the deviation
-  columns are bound once, outside the step.
+  preallocated buffers that the points of a group share.  The attractor
+  comes from ``kernels.ATTRACTORS``, prepared once per point for its
+  alpha and the attraction buffer (its constants and one scratch row per
+  row) and evaluated in place; the l0 attractor clears the taps outside
+  its range by a bit mask, not a select.  The step's ufuncs and the
+  error column are bound once per run, the block's regressors and
+  desired outputs by step once per block, and a point's state and
+  deviation columns once per point and block, all outside the step.
 - ||w||^2 <= 2||w - s||^2 + 2||s||^2, so while the deviations of a step
   sum to at most limit / (2(1 + 1e-3)) - ||s||^2 (the least over the
   rows), no row can have crossed its divergence limit.  The 1e-3 margin
@@ -74,7 +88,8 @@ from .kernels import ATTRACTORS, AlgoParams, Variant, _as_systems
 
 __all__ = [
     "SYSTEM_ROLE", "INPUT_ROLE", "NOISE_ROLE", "stream", "gen_system",
-    "ExperimentSpec", "Trajectory", "run_trials", "monte_carlo",
+    "ExperimentSpec", "Trajectory", "Trajectories", "run_trials",
+    "monte_carlo",
     "noise_power", "closed_form", "default_iterations", "iteration_count",
     "require_memory", "resolve_kappa", "DIVERGENCE_FACTOR",
     "SLOPE_THRESHOLD", "INPUT_MODELS",
@@ -274,6 +289,35 @@ def _scalar_params(spec: ExperimentSpec) -> AlgoParams:
                       alpha=spec.alpha)
 
 
+def _draw_keys(spec: ExperimentSpec) -> dict:
+    """What a run's draws depend on, which the points of a group share,
+    in the order a refusal names the first that differs."""
+    return {"L": spec.L, "Q": spec.Q, "seed": spec.seed,
+            "trials": spec.trials, "iterations": iteration_count(spec),
+            "input_model": spec.input_model,
+            "system_mode": spec.system_mode, "Px": spec.Px,
+            "sigma_s": spec.sigma_s, "noise power": noise_power(spec)}
+
+
+def _group(specs) -> list[ExperimentSpec]:
+    """The points of a group: one spec, or a non-empty sequence of points
+    that may differ in variant, mu, kappa and alpha only.  A spec that is
+    not a point, or a draw key on which two points differ, raises
+    ValueError (naming the key) before anything is drawn."""
+    group = [specs] if isinstance(specs, ExperimentSpec) else list(specs)
+    if not group:
+        raise ValueError("a group needs at least one point")
+    for sp in group:
+        _scalar_params(sp)
+    first, *rest = map(_draw_keys, group)
+    for keys in rest:
+        for name, value in keys.items():
+            if value != first[name]:
+                raise ValueError(f"a group's points must share their "
+                                 f"{name}: got {first[name]} and {value}")
+    return group
+
+
 def closed_form(spec: ExperimentSpec):
     """Arguments ``((L, Q, strengths), params, signal)`` of the theory
     entry points for a point, or None for ZA/RZA, which have no l0
@@ -355,24 +399,30 @@ class Trajectory:
         return abs(self.steady_slope) < SLOPE_THRESHOLD
 
 
-def require_memory(spec: ExperimentSpec, rows: int) -> None:
-    """Refuse a run of ``rows`` series whose arrays cannot fit.  Each row
-    holds its two stream generators, ``iterations + 1`` deviations, eight
+def require_memory(specs, rows: int) -> None:
+    """Refuse a run of ``rows`` series of each point of a group (one spec
+    or a sequence, as :func:`run_trials` takes) whose arrays cannot fit.
+    Each row holds, once for the group, its two stream generators, five
     L-wide rows (the system twice: the drawn ``(rows, L)`` array and a
-    worker's copy of its shard; the weights, their running sum, the
-    update, deviation and attraction buffers and the attractor's scratch
-    row) and two stream blocks, the one in use and the next: an L-wide
-    row each on the delay line, eight regressors each when i.i.d.  The
-    per-block noise, desired outputs (and their copy by step), new
-    samples and their temporaries add six arrays of at most
-    ``8 * rows + 2^14`` doubles.  The estimate is a float (inf past its
-    range); a ValueError names it, and the counts to four digits, when it
-    exceeds physical memory; without ``os.sysconf`` the check is skipped."""
+    worker's copy of its shard; the shared update, deviation and
+    attraction buffers) and two stream blocks, the one in use and the
+    next: an L-wide row each on the delay line, eight regressors each
+    when i.i.d.  Each point adds, per row, its ``iterations + 1``
+    deviations and three L-wide rows: its weights, their running sum and
+    its attractor's scratch row.  The per-block noise, desired outputs
+    (and their copy by step), new samples and their temporaries add six
+    arrays of at most ``8 * rows + 2^14`` doubles.  The estimate is a
+    float (inf past its range); a ValueError names it, the group's series
+    count and the step count to four digits, when it exceeds physical
+    memory; without ``os.sysconf`` the check is skipped."""
+    group = _group(specs)
+    spec = group[0]
     n_iter = iteration_count(spec)
     block = _BLOCK_REGRESSORS if spec.input_model == "iid" else 1
     r, L = float(rows), float(spec.L)
     need = (r * _GENERATOR_BYTES
-            + 8 * (r * (n_iter + 1 + (8 + 2 * block) * L)
+            + 8 * (r * (len(group) * (n_iter + 1 + 3 * L)
+                        + (5 + 2 * block) * L)
                    + 6 * (_BLOCK_REGRESSORS * r + _BLOCK)))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -380,9 +430,9 @@ def require_memory(spec: ExperimentSpec, rows: int) -> None:
         return
     if need > have:
         raise ValueError(
-            f"{rows:.4g} series of {n_iter:.4g} steps at L={spec.L:.4g} need "
-            f"about {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory")
+            f"{len(group) * rows:.4g} series of {n_iter:.4g} steps at "
+            f"L={spec.L:.4g} need about {need / 2**30:.3g} GiB, more than "
+            f"the {have / 2**30:.3g} GiB of physical memory")
 
 
 def _draw(rngs, n: int, scale: float) -> np.ndarray:
@@ -394,69 +444,106 @@ def _draw(rngs, n: int, scale: float) -> np.ndarray:
     return out
 
 
-def run_trials(spec: ExperimentSpec, systems, first: int = 0,
-               record_weights_from: int | None = None):
-    """The Monte Carlo engine: trials ``first, first+1, ...`` of the
-    point ``spec``, one per row of the ``(rows, spec.L)`` array
-    ``systems`` (one system is one row), advance as the rows of one
-    weight array for :func:`iteration_count` steps.  Every reduction
-    stays within a row, so a row's bits do not depend on the other rows.
-    A spec that is not a point, or misshapen systems, raise ValueError.
+class _PointRun:
+    """One point's own state in a group's run: the point's deviations,
+    divergence steps, weights and their running sum, per-row step sizes
+    (0 once a row diverges) and its attraction ``g`` (None when it adds
+    none), prepared to write into the group's shared attraction buffer
+    ``pull``."""
 
-    Returns ``(dev, diverged_at, wbar)``, one row per system in trial
-    order.  ``dev[i, n]`` is ||w_n - s||^2 of row i, so ``dev[:, 0]`` is
-    ||s||^2 (zero-initialized weights).  Divergence — ||w||^2 exceeding
-    1e6 * max(1, ||s||^2) — stops a row at the offending step, which
-    ``diverged_at`` records (0 where the row did not diverge); the row's
-    later entries are NaN.  A diverged row keeps its place: its weights
-    and its step size become 0, so every later step leaves it at w = 0
-    (each attractor has g(0) = 0), and the run ends once every row has
-    diverged.  With ``record_weights_from``, ``wbar`` holds each row's
-    time-averaged weights from that iteration on (a NaN row where the
-    window holds no step); without it, ``wbar`` is None.
+    __slots__ = ("dev", "diverged_at", "W", "wsum", "mu", "g", "kappa")
+
+    def __init__(self, spec: ExperimentSpec, dev0, n_iter: int, pull):
+        params = _scalar_params(spec)
+        rows, L = pull.shape
+        self.dev = np.empty((rows, n_iter + 1))
+        self.dev[:, 0] = dev0
+        self.diverged_at = np.zeros(rows, dtype=int)    # 0: did not diverge
+        self.W, self.wsum = np.zeros((rows, L)), np.zeros((rows, L))
+        self.mu = np.full(rows, params.mu)
+        prepare = ATTRACTORS.get(params.variant)
+        self.g = (prepare(params.alpha, pull)
+                  if prepare and params.kappa else None)
+        self.kappa = np.array(params.kappa)
+
+    def result(self, n_iter: int, record_from: int | None):
+        """``(dev, diverged_at, wbar)``; NaN after each divergence."""
+        dev, diverged_at = self.dev, self.diverged_at
+        for i in np.flatnonzero(diverged_at):
+            dev[i, diverged_at[i] + 1:] = np.nan
+        if record_from is None:
+            return dev, diverged_at, None
+        counts = (np.where(diverged_at, diverged_at, n_iter)
+                  - record_from + 1)[:, None]
+        return dev, diverged_at, np.where(
+            counts > 0, self.wsum / np.maximum(counts, 1), np.nan)
+
+
+def run_trials(specs, systems, first: int = 0,
+               record_weights_from: int | None = None):
+    """The Monte Carlo engine: trials ``first, first+1, ...``, one per row
+    of the ``(rows, L)`` array ``systems`` (one system is one row), each
+    run for :func:`iteration_count` steps at every point of a group.  The
+    group is one point ``spec`` or a sequence of points that share every
+    draw key (module docstring); a spec that is not a point, a group
+    whose points differ in a draw key, or misshapen systems raise
+    ValueError.  Each point advances the rows of its own weight array;
+    every reduction stays within a row, so a row's bits depend neither on
+    the other rows nor on the other points.
+
+    Returns ``(dev, diverged_at, wbar)`` for a spec, a list of them, one
+    per point in group order, for a sequence; one row per system in
+    trial order.  ``dev[i, n]`` is ||w_n - s||^2 of row i, so
+    ``dev[:, 0]`` is ||s||^2 (zero-initialized weights).  Divergence —
+    ||w||^2 exceeding 1e6 * max(1, ||s||^2) — stops a row at the
+    offending step, which ``diverged_at`` records (0 where the row did
+    not diverge); the row's later entries are NaN.  A diverged row keeps
+    its place: its weights and its step size become 0, so every later
+    step leaves it at w = 0 (each attractor has g(0) = 0).  A point whose
+    rows have all diverged takes no more steps, and the run ends, drawing
+    no further block, once every point has.  With
+    ``record_weights_from``, ``wbar`` holds each row's time-averaged
+    weights from that iteration on (a NaN row where the window holds no
+    step); without it, ``wbar`` is None.
 
     The delay-line window is warm-started (fully populated at n=0);
     ``spec.input_model = "iid"`` draws every regressor afresh.
     """
-    params = _scalar_params(spec)
+    group = _group(specs)
+    spec = group[0]
     S = np.atleast_2d(_as_systems(systems, spec.L))
     rows, L = S.shape
     n_iter = iteration_count(spec)
-    dev = np.empty((rows, n_iter + 1))
-    diverged_at = np.zeros(rows, dtype=int)     # 0: did not diverge
-    record_from = (n_iter + 1 if record_weights_from is None
+    record_from = (None if record_weights_from is None
                    else max(1, record_weights_from))
-    W, wsum = np.zeros((rows, L)), np.zeros((rows, L))
-    if not rows:
-        return dev, diverged_at, None if record_weights_from is None else W
-    dev[:, 0] = np.vecdot(S, S)
-    limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev[:, 0])
+    # the step buffers every point writes: update, deviation, attraction
+    upd, diff, pull = np.empty((3, rows, L))
+    dev0 = np.vecdot(S, S)
+    points = [_PointRun(sp, dev0, n_iter, pull) for sp in group]
+    live = [p for p in points if not p.diverged_at.all()]   # none if no rows
+    limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev0)
     # while a step's deviations sum to at most `safe`, no ||w||^2 can
     # exceed its limit (module docstring: the bound and its margin)
-    safe = float(np.min(limit / (2 * (1 + 1e-3)) - dev[:, 0]))
+    safe = float(np.min(limit / (2 * (1 + 1e-3)) - dev0, initial=math.inf))
     inputs, noises = ([stream(spec.seed, t, role)
                        for t in range(first, first + rows)]
                       for role in (INPUT_ROLE, NOISE_ROLE))
     sx, sv = math.sqrt(spec.Px), math.sqrt(noise_power(spec))
     iid = spec.input_model == "iid"
-    prepare = ATTRACTORS.get(params.variant)
-    weight = params.kappa if prepare else 0.0
-    mu = np.full(rows, params.mu)               # 0 once a row diverges
+    # the first step whose weights are summed (none without a window)
+    step_from = n_iter + 1 if record_from is None else record_from
 
-    upd, diff, pull = np.empty((3, rows, L))
-    if weight:
-        g, kappa = prepare(params.alpha, pull), np.array(weight)
     e = np.empty(rows)
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
-    block = max(_BLOCK_REGRESSORS, _BLOCK // (rows * (L if iid else 1)))
-    # bound once for the step: the ufuncs (outputs go by position), the
-    # error as a column and dev by step, devs[n] being the view dev[:, n]
+    block = max(_BLOCK_REGRESSORS, _BLOCK // max(1, rows * (L if iid else 1)))
+    # bound once for the step: the ufuncs (outputs go by position) and
+    # the error as a column
     vecdot, subtract, multiply, add = (np.vecdot, np.subtract, np.multiply,
                                        np.add)
-    e_col, devs = e[:, None], dev.T
+    e_col = e[:, None]
 
     n = 0
-    while n < n_iter and not diverged_at.all():
+    while n < n_iter and live:
         k = min(block, n_iter - n)
         # xs: the block's (rows, k, L) regressors, newest first
         if iid:
@@ -466,57 +553,89 @@ def run_trials(spec: ExperimentSpec, systems, first: int = 0,
                                 _draw(inputs, k, sx)), axis=1)
             # reversed windows: a view whose rows keep a negative stride
             xs = sliding_window_view(X, L, axis=1)[:, :, ::-1]
-        d = np.vecdot(xs, S[:, None]) + _draw(noises, k, sv)
-        # by step: each step's (rows, L) regressors, its desired outputs
-        # as one contiguous row and its column of dev
-        for x, d_n, dev_n in zip(xs.transpose(1, 0, 2),
-                                 np.ascontiguousarray(d.T),
-                                 devs[n + 1:n + k + 1]):
-            n += 1
-            subtract(d_n, vecdot(x, W, e), e)
-            multiply(e, mu, e)
-            if weight:
-                multiply(g(W), kappa, pull)
-            add(W, multiply(e_col, x, upd), W)
-            if weight:
-                add(W, pull, W)
-            vecdot(subtract(W, S, diff), diff, dev_n)
-            if n >= record_from:
-                add(wsum, W, wsum)
-            if sum(dev_n.tolist()) <= safe:         # NaN, inf fall through
-                continue
-            bad = (np.vecdot(W, W) > limit) | ~np.isfinite(dev_n)
-            if bad.any():
-                diverged_at[bad] = n
-                W[bad] = mu[bad] = 0.0  # g(0) = 0: the row stays at w = 0
-                if diverged_at.all():
-                    break
+        # by step: each step's (rows, L) regressors and its desired
+        # outputs as one contiguous row, shared by every point
+        xs_by_step = xs.transpose(1, 0, 2)
+        d_by_step = np.ascontiguousarray(
+            (np.vecdot(xs, S[:, None]) + _draw(noises, k, sv)).T)
+        for p in live:
+            W, wsum, mu, g, kappa, diverged_at = (p.W, p.wsum, p.mu, p.g,
+                                                  p.kappa, p.diverged_at)
+            m = n
+            # each step's column of dev, as a view
+            for x, d_m, dev_m in zip(xs_by_step, d_by_step,
+                                     p.dev.T[n + 1:n + k + 1]):
+                m += 1
+                subtract(d_m, vecdot(x, W, e), e)
+                multiply(e, mu, e)
+                if g:
+                    multiply(g(W), kappa, pull)
+                add(W, multiply(e_col, x, upd), W)
+                if g:
+                    add(W, pull, W)
+                vecdot(subtract(W, S, diff), diff, dev_m)
+                if m >= step_from:
+                    add(wsum, W, wsum)
+                if sum(dev_m.tolist()) <= safe:     # NaN, inf fall through
+                    continue
+                bad = (np.vecdot(W, W) > limit) | ~np.isfinite(dev_m)
+                if bad.any():
+                    diverged_at[bad] = m
+                    W[bad] = mu[bad] = 0.0  # g(0) = 0: the row stays at w = 0
+                    if diverged_at.all():
+                        break
+        live = [p for p in live if not p.diverged_at.all()]
+        n += k
 
-    for i in np.flatnonzero(diverged_at):
-        dev[i, diverged_at[i] + 1:] = np.nan
-    if record_weights_from is None:
-        return dev, diverged_at, None
-    counts = (np.where(diverged_at, diverged_at, n_iter)
-              - record_from + 1)[:, None]
-    return dev, diverged_at, np.where(
-        counts > 0, wsum / np.maximum(counts, 1), np.nan)
+    results = [p.result(n_iter, record_from) for p in points]
+    return results[0] if isinstance(specs, ExperimentSpec) else results
 
 
-def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
-    """Average ``spec.trials`` independent trials at one parameter point.
+class Trajectories(tuple):
+    """The Trajectories of a group's points, in the group's order."""
 
-    Requires a point and ``workers >= 1``; a run whose arrays cannot fit
-    in memory is refused before anything is drawn (:func:`require_memory`).
-    The trials are split into contiguous shards, at most ``workers`` and
-    at most one per CPU the process may run on, one process each when
-    there is more than one; the average runs in trial order either way,
-    so the result is bit-identical for a given (spec, seed) whatever
-    ``workers`` is.
+    @property
+    def n_diverged(self) -> int:
+        """Diverged trials over all the points, as one Trajectory counts
+        its own."""
+        return sum(t.n_diverged for t in self)
+
+
+def _trajectory(dev: np.ndarray, diverged_at: np.ndarray) -> Trajectory:
+    """The Trajectory of one point's trial rows, in trial order."""
+    trials = dev.shape[0]
+    n_div = int(np.count_nonzero(diverged_at))
+    keep = int(diverged_at[diverged_at > 0].min()) + 1 if n_div \
+        else dev.shape[1]
+    msd = dev[:, :keep].sum(axis=0) / trials    # rows in trial order
+    window = max(1, int(round(0.1 * msd.size)))
+    return Trajectory(
+        msd=msd, trials=trials, n_diverged=n_div,
+        steady_estimate=math.nan if n_div else float(np.mean(msd[-window:])),
+        trial_steady=None if n_div else dev[:, -window:].mean(axis=1))
+
+
+def monte_carlo(specs, workers: int = 1):
+    """Average ``trials`` independent trials at each point of a group: one
+    point ``spec``, or a sequence of points that share every draw key
+    (:func:`run_trials`).  Returns the point's Trajectory for a spec, a
+    :class:`Trajectories` of one per point, in group order, for a
+    sequence.
+
+    Requires ``workers >= 1``; a group that is refused, or whose arrays
+    cannot fit in memory (:func:`require_memory`), raises before anything
+    is drawn.  The trials are split into contiguous shards, at most
+    ``workers`` and at most one per CPU the process may run on, one
+    process each of one pool for the whole group when there is more than
+    one; every point's average runs in trial order either way, so a
+    point's result is bit-identical for a given (spec, seed) whatever
+    ``workers``, its group and its place in the group.
     """
-    _scalar_params(spec)                        # refuses all but a point
+    group = _group(specs)
+    spec = group[0]
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    require_memory(spec, spec.trials)
+    require_memory(group, spec.trials)
     draws = range(spec.trials if spec.system_mode == "redraw" else 1)
     S = np.array([gen_system(spec.L, spec.Q, spec.seed, trial=t,
                              sigma_s=spec.sigma_s) for t in draws])
@@ -527,22 +646,21 @@ def monte_carlo(spec: ExperimentSpec, workers: int = 1) -> Trajectory:
             else os.cpu_count() or 1)
     shards = min(workers, spec.trials, cpus)
     edges = [i * spec.trials // shards for i in range(shards + 1)]
-    run = partial(run_trials, spec)
+    run = partial(run_trials, group)
     if shards > 1:
         with ProcessPoolExecutor(max_workers=shards) as ex:
             parts = list(ex.map(run, [S[a:b] for a, b in
                                       zip(edges, edges[1:])], edges[:-1]))
-        dev, diverged_at = (np.concatenate([p[i] for p in parts])
-                            for i in (0, 1))
     else:
-        dev, diverged_at, _ = run(S, 0)
-
-    n_div = int(np.count_nonzero(diverged_at))
-    keep = int(diverged_at[diverged_at > 0].min()) + 1 if n_div \
-        else dev.shape[1]
-    msd = dev[:, :keep].sum(axis=0) / spec.trials   # rows in trial order
-    window = max(1, int(round(0.1 * msd.size)))
-    return Trajectory(
-        msd=msd, trials=spec.trials, n_diverged=n_div,
-        steady_estimate=math.nan if n_div else float(np.mean(msd[-window:])),
-        trial_steady=None if n_div else dev[:, -window:].mean(axis=1))
+        parts = [run(S, 0)]
+    trajs = []
+    for i in range(len(group)):
+        # the point's rows in trial order; the parts drop each point's
+        # shards as it is joined, so one point's copy is made at a time
+        devs, ats, _ = zip(*(part[i] for part in parts))
+        for part in parts:
+            part[i] = None
+        trajs.append(_trajectory(*(np.concatenate(x) if shards > 1 else x[0]
+                                   for x in (devs, ats))))
+    trajs = Trajectories(trajs)
+    return trajs[0] if isinstance(specs, ExperimentSpec) else trajs

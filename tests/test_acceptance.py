@@ -391,12 +391,15 @@ def _theory_vs_sim(L, Q, trials):
         n_iter).reshape(4, trials, -1).mean(axis=1)
     gaps = {k: [] for k in ("steady", "curve", "ensemble", "paper_dl",
                             "paper_iid")}
-    for p, curve in zip(params, tapwise):
-        spec = ExperimentSpec(L=L, Q=Q, mu=mu, alpha=alpha, kappa=p.kappa,
-                              snr_db=40.0, trials=trials, iterations=n_iter,
-                              seed=1)
-        line = monte_carlo(spec, workers=2)
-        iid = monte_carlo(replace(spec, input_model="iid"), workers=2)
+    # the four weights run as one group per input model: one draw of
+    # each trial's regressors and noise serves all four
+    specs = [ExperimentSpec(L=L, Q=Q, mu=mu, alpha=alpha, kappa=p.kappa,
+                            snr_db=40.0, trials=trials, iterations=n_iter,
+                            seed=1) for p in params]
+    lines = monte_carlo(specs, workers=2)
+    iids = monte_carlo([replace(sp, input_model="iid") for sp in specs],
+                       workers=2)
+    for p, curve, line, iid in zip(params, tapwise, lines, iids):
         assert not (line.diverged or iid.diverged)
         drawn = np.mean([l0_steady_msd((L, Q, strengths(alpha, s=x)), p,
                                        sig).d_inf for x in systems])

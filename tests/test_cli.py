@@ -774,6 +774,32 @@ def test_runs_that_cannot_fit_exit_1(tmp_path, capsys, monkeypatch, mode,
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_curve_group_that_cannot_fit_exits_1(tmp_path, capsys, monkeypatch):
+    """A scalar four-variant config runs its curves as one group, so its
+    arrays are counted together: at L=16, 2 trials and 150 000 steps one
+    point fits in 16 MiB, the group of four does not.  It exits 1 before
+    the engine runs, leaves no output directory, and the refusal gives
+    the group's series count, four points of 2 trials and 6 curve arrays."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+    monkeypatch.setattr("os.sysconf", pages.__getitem__)
+    calls = []
+    engine = simulate.run_trials
+    monkeypatch.setattr(simulate, "run_trials",
+                        lambda *a, **k: calls.append(a) or engine(*a, **k))
+    fields = dict(L=16, Q=2, mu=1e-3, alpha=10.0, kappa=1e-6, snr_db=40.0,
+                  trials=2, iterations=150_000, seed=1)
+    point = ExperimentSpec(**fields)
+    simulate.require_memory(point, point.trials + cli._CURVE_SERIES)
+    cfg = write_config(tmp_path / "four.json", **fields,
+                       variants=["L0LMS", "LMS", "ZALMS", "RZALMS"])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: 32 series of 1.5e+05 steps at L=16 need about ")
+    assert calls == []
+    assert not out.exists()
+
+
 # a run whose later point is refused: simulating its first point took 1 s
 REFUSED_LATE = dict(L=64, Q=8, mu=2e-3, alpha=10.0, kappa=1e-6, snr_db=40.0,
                     trials=50, iterations=20000, seed=1, variants=["L0LMS"])
@@ -1211,8 +1237,8 @@ def test_unwritable_manifest_exits_1(tmp_path, capsys):
 
 def test_interrupted_run_leaves_no_stale_manifest(tmp_path):
     """A run removes its old manifest before it writes: a seed-7 rerun
-    stopped at its second Monte Carlo point has replaced the first curve,
-    and leaves no seed-1 manifest that would list that curve as its own."""
+    stopped at its second file has replaced the first curve, and leaves
+    no seed-1 manifest that would list that curve as its own."""
     cfg = write_config(tmp_path / "tiny.json", L=16, Q=2, mu=5e-3,
                        alpha=10.0, kappa="OPTIMAL", snr_db=40.0, trials=2,
                        iterations=400, seed=1,
@@ -1224,15 +1250,15 @@ def test_interrupted_run_leaves_no_stale_manifest(tmp_path):
     curve = out / "tiny_40dB_curve_L0LMS.csv"
     assert RunManifest.load(manifest).spec.seed == 1
     seed1 = curve.read_bytes()
-    real_monte_carlo, calls = cli.monte_carlo, []
+    real_write, calls = cli._write_csv, []
 
-    def interrupted(spec, workers=1):
-        calls.append(spec)
+    def interrupted(path, header, columns):
+        calls.append(path)
         if len(calls) == 2:
             raise KeyboardInterrupt
-        return real_monte_carlo(spec, workers=workers)
+        return real_write(path, header, columns)
 
-    with unittest.mock.patch.object(cli, "monte_carlo", interrupted), \
+    with unittest.mock.patch.object(cli, "_write_csv", interrupted), \
             pytest.raises(KeyboardInterrupt):
         main(argv + ["--seed", "7"])
     assert curve.read_bytes() != seed1
@@ -1463,17 +1489,20 @@ CONFIG_GOLDEN = {
 
 
 def test_config_experiments_match_golden(tmp_path):
-    """Every file of a scalar four-variant ``"OPTIMAL"`` config, an
-    ``"OPTIMAL"`` mu sweep and a kappa sweep at L=16 and 400 steps is
-    byte-identical to the recorded goldens (Python 3.11.7, numpy 2.4.6,
-    scipy 1.17.1, x86_64); the manifest is compared with its timestamp
-    blanked."""
+    """Every file of a scalar four-variant ``"OPTIMAL"`` config (one
+    group of four curves), an ``"OPTIMAL"`` mu sweep and a kappa sweep at
+    L=16 and 400 steps is byte-identical to the recorded goldens (Python
+    3.11.7, numpy 2.4.6, scipy 1.17.1, x86_64), with one worker and with
+    two; the manifest is compared with its timestamp blanked."""
     base = dict(L=16, Q=2, mu=5e-3, alpha=10.0, snr_db=40.0, trials=2,
                 iterations=400, seed=1, variants=["L0LMS"])
-    out = tmp_path / "out"
-    for name, fields in GOLDEN_CONFIGS.items():
-        cfg = write_config(tmp_path / f"{name}.json", **{**base, **fields})
-        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
-    got = {name: hashlib.sha256(data).hexdigest()
-           for name, data in _written_files(out).items()}
-    assert got == CONFIG_GOLDEN
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        for name, fields in GOLDEN_CONFIGS.items():
+            cfg = write_config(tmp_path / f"{name}.json",
+                               **{**base, **fields})
+            assert main(["experiment", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == 0
+        got = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _written_files(out).items()}
+        assert got == CONFIG_GOLDEN, f"--workers {workers}"

@@ -354,6 +354,113 @@ def test_run_trial_matches_step_loop(variant, input_model, L, q_frac,
         np.testing.assert_array_equal(row_wbar, wbar)
 
 
+_POINTS = st.tuples(st.sampled_from(list(Variant)), st.floats(0.01, 2.5),
+                    st.floats(0.0, 1e-3), st.floats(1.0, 20.0))
+
+
+@given(points=st.lists(_POINTS, min_size=1, max_size=4),
+       input_model=st.sampled_from(["delay_line", "iid"]),
+       L=st.integers(1, 24), q_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32), block=st.integers(1, 64),
+       record_frac=st.floats(0.0, 1.0), rows=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_group_matches_its_points_run_alone(points, input_model, L, q_frac,
+                                            seed, block, record_frac, rows):
+    """A group of points that share their draws, each with its own
+    variant, mu (up to 2.5 mu_max, so some points diverge), kappa and
+    alpha: every point's deviations, divergence steps and weight averages
+    are its solo run's, bit for bit, for every stream block size."""
+    base = ExperimentSpec(L=L, Q=int(q_frac * L), mu=1e-3, Pv=1e-3,
+                          trials=rows, iterations=150, seed=seed,
+                          input_model=input_model)
+    group = [replace(base, variants=(v,), mu=frac * mu_max(L, 1.0),
+                     kappa=kappa, alpha=alpha)
+             for v, frac, kappa, alpha in points]
+    systems = [gen_system(L, base.Q, seed, trial=t) for t in range(2, 2 + rows)]
+    record_from = 1 + int(record_frac * (base.iterations - 1))
+    with mock.patch.object(simulate, "_BLOCK", block):
+        together = run_trials(group, systems, first=2,
+                              record_weights_from=record_from)
+        alone = [run_trials(sp, systems, first=2,
+                            record_weights_from=record_from) for sp in group]
+    assert len(together) == len(group)
+    for got, want in zip(together, alone):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_group_point_whose_rows_all_diverge_stops_alone():
+    """A point whose rows have all diverged takes no more steps while the
+    other points of its group run on: each point equals its solo run, on
+    both input models."""
+    spec, systems = _divergent_rows()
+    for input_model in ("delay_line", "iid"):
+        wild = replace(spec, input_model=input_model)
+        group = [replace(wild, mu=2e-3, kappa=1e-4), wild,
+                 replace(wild, mu=1e-3, variants=(Variant.RZALMS,),
+                         kappa=1e-5)]
+        together = run_trials(group, systems[:3], record_weights_from=10)
+        alone = [run_trials(sp, systems[:3], record_weights_from=10)
+                 for sp in group]
+        for got, want in zip(together, alone):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        (_, calm_at, _), (_, wild_at, _), (_, rza_at, _) = together
+        assert wild_at.all() and wild_at.max() < spec.iterations
+        assert not (calm_at.any() or rza_at.any())
+
+
+_DIFFERING = {
+    "L": dict(L=16), "Q": dict(Q=3), "seed": dict(seed=2),
+    "trials": dict(trials=4), "iterations": dict(iterations=300),
+    "input_model": dict(input_model="iid"),
+    "system_mode": dict(system_mode="fixed"), "Px": dict(Px=2.0),
+    "sigma_s": dict(sigma_s=2.0), "noise power": dict(Pv=1e-3),
+}
+
+
+@pytest.mark.parametrize("key", list(_DIFFERING))
+def test_group_refuses_points_that_differ_in_a_draw_key(monkeypatch, key):
+    """The points of a group share every draw key: two points that differ
+    in one are refused by the engine, monte_carlo and require_memory,
+    naming the key, before a stream is opened or a system drawn."""
+    opened = []
+    monkeypatch.setattr(simulate, "stream",
+                        lambda *a: opened.append(a) or stream(*a))
+    group = [small_spec(), small_spec(variants=(Variant.LMS,),
+                                      **_DIFFERING[key])]
+    systems = np.zeros((3, 32))
+    for call in (lambda g: run_trials(g, systems), monte_carlo,
+                 lambda g: require_memory(g, 3)):
+        with pytest.raises(ValueError,
+                           match=f"^a group's points must share their {key}: "):
+            call(group)
+    assert opened == []
+
+
+def test_empty_group_is_refused():
+    for call in (lambda g: run_trials(g, np.zeros((1, 32))), monte_carlo,
+                 lambda g: require_memory(g, 1)):
+        with pytest.raises(ValueError, match="at least one point"):
+            call([])
+
+
+def test_require_memory_counts_a_group_once_per_trial(monkeypatch):
+    """A group holds its generators, systems and stream blocks once per
+    trial and each point's deviations and weight rows: on 4 GiB, 250
+    series of 1e6 steps fit for one point and for two, not for four,
+    and the refusal gives the group's series count."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 20}    # 4 GiB
+    monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+    point = ExperimentSpec(L=1, Q=1, mu=0.1, Pv=1e-3, iterations=10 ** 6)
+    group = [replace(point, variants=(v,)) for v in Variant]
+    require_memory(point, 250)
+    require_memory(group[:2], 250)
+    with pytest.raises(ValueError, match=r"^1000 series of 1e\+06 steps "
+                                         r"at L=1 need about 7\.4"):
+        require_memory(group, 250)
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, simulate._BLOCK])
 @pytest.mark.parametrize("kw, diverged", [
     (dict(), [921, 0, 497, 425]),
@@ -438,23 +545,30 @@ def test_diverged_rows_stay_quiet():
 
 def test_no_stream_block_after_every_row_diverged():
     """Once every row has diverged the engine draws nothing more: a
-    4000-step run stopped at step 88 makes the draws of an 88-step run."""
+    4000-step run stopped at step 88 makes the draws of an 88-step run,
+    alone and in a group whose other point has diverged by step 88 too."""
     spec, systems = _divergent_rows()
-    real_draw, draws, counts = simulate._draw, [], []
+    real_draw, draws = simulate._draw, []
 
     def counted(*args):
         draws.append(args)
         return real_draw(*args)
 
-    for n_iter in (spec.iterations, 88):
-        draws.clear()
-        with mock.patch.object(simulate, "_BLOCK", 7), \
-                mock.patch.object(simulate, "_draw", counted):
-            _, at, _ = run_trials(replace(spec, iterations=n_iter),
-                                  systems[:3])
-        assert at.tolist() == [66, 32, 88]
-        counts.append(len(draws))
-    assert counts[0] == counts[1] > 10
+    other = replace(spec, mu=1.5 * spec.mu, variants=(Variant.ZALMS,),
+                    kappa=1e-3)
+    for group in ([spec], [spec, other]):
+        counts = []
+        for n_iter in (spec.iterations, 88):
+            draws.clear()
+            with mock.patch.object(simulate, "_BLOCK", 7), \
+                    mock.patch.object(simulate, "_draw", counted):
+                ats = [at for _, at, _ in run_trials(
+                    [replace(sp, iterations=n_iter) for sp in group],
+                    systems[:3])]
+            counts.append(len(draws))
+            assert ats[0].tolist() == [66, 32, 88]
+            assert all(at.all() and at.max() <= 88 for at in ats)
+        assert counts[0] == counts[1] > 10
 
 
 def test_iid_stream_blocks_hold_several_regressors():
@@ -493,11 +607,21 @@ def test_monte_carlo_single_trial_equals_run_trial():
 @pytest.mark.parametrize("trials,workers", [(4, 2), (5, 3), (1, 2)])
 @pytest.mark.parametrize("input_model", ["delay_line", "iid"])
 def test_monte_carlo_worker_count_invariance(input_model, trials, workers):
+    """A point, and each point of a four-variant group, gives the same
+    bits at every worker count, equal to the point's solo run."""
     spec = small_spec(trials=trials, kappa=1e-6, input_model=input_model)
     one = monte_carlo(spec, workers=1)
     many = monte_carlo(spec, workers=workers)
     assert np.array_equal(one.msd, many.msd)
     assert np.array_equal(one.trial_steady, many.trial_steady)
+    group = [replace(spec, variants=(v,)) for v in Variant]
+    alone = [monte_carlo(sp) for sp in group]
+    for w in (1, 2, 3):
+        trajs = monte_carlo(group, workers=w)
+        assert len(trajs) == 4
+        for got, want in zip(trajs, alone):
+            assert np.array_equal(got.msd, want.msd)
+            assert np.array_equal(got.trial_steady, want.trial_steady)
 
 
 @pytest.mark.parametrize("affinity", [True, False],
@@ -506,7 +630,8 @@ def test_monte_carlo_starts_at_most_one_process_per_cpu(monkeypatch,
                                                         affinity):
     """A pool larger than the usable CPUs is never asked for: 5000 workers
     on three CPUs make three shards, run here in this process by a pool
-    stand-in that records its size, with the result of one worker."""
+    stand-in that records its size, with the result of one worker.  A
+    group of four points runs in one such pool, not one per point."""
     sizes = []
 
     class InlinePool:
@@ -534,6 +659,13 @@ def test_monte_carlo_starts_at_most_one_process_per_cpu(monkeypatch,
     assert sizes == [3]
     assert np.array_equal(one.msd, many.msd)
     assert np.array_equal(one.trial_steady, many.trial_steady)
+    group = [replace(spec, variants=(v,), kappa=1e-5) for v in Variant]
+    alone = monte_carlo(group, workers=1)
+    together = monte_carlo(group, workers=5000)
+    assert sizes == [3, 3]
+    for a, b in zip(alone, together):
+        assert np.array_equal(a.msd, b.msd)
+        assert np.array_equal(a.trial_steady, b.trial_steady)
 
 
 def test_monte_carlo_rejects_sweeps():
