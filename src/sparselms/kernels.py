@@ -2,7 +2,8 @@
 variants, plus the zero-point attractor functions they share.
 
 ``step`` and ``attract`` are pure functions of their inputs; a prepared
-attractor writes only its ``out`` and its own scratch.  The regressor
+attractor writes only the two arrays it is given, ``out`` and a scratch,
+and allocates nothing.  The regressor
 convention is most-recent-first: ``x = [x_n, x_{n-1}, ..., x_{n-L+1}]``.
 ``step`` is the single-step reference that the batched Monte Carlo engine of
 :mod:`sparselms.simulate` is tested against.
@@ -84,14 +85,16 @@ def _as_systems(systems, L: int | None = None) -> np.ndarray:
 # attractor functions
 # ---------------------------------------------------------------------------
 
-# Each attractor is prepared once for one alpha and one float output
-# array ``out``: its preparer works out the constants, allocates scratch
-# of out's shape and returns g(t), which writes g(t) of a float array t
-# of that shape into ``out`` (not overlapping t) and returns ``out``.
+# Each attractor is prepared once for one alpha, one float output array
+# ``out`` and one float ``scratch`` of out's shape: its preparer works out
+# the constants and returns g(t), which writes g(t) of a float array t of
+# that shape into ``out`` (neither array overlapping t), may overwrite
+# ``scratch``, allocates nothing and returns ``out``.  The caller owns
+# both arrays, so points that step one after another can share them.
 # The constants are 0-d arrays, which a ufunc takes faster than a Python
 # or numpy scalar (numpy 2.4).
 
-def _attract_l0(alpha: float, out):
+def _attract_l0(alpha: float, out, scratch):
     """Piecewise-linear zero-point attractor: 2*alpha^2*t - 2*alpha*sgn(t)
     inside |t| <= 1/alpha, +0.0 outside (at +-inf and NaN too).  sgn(0) =
     0, and at the boundary |t| = 1/alpha the linear branch evaluates to 0,
@@ -106,7 +109,7 @@ def _attract_l0(alpha: float, out):
     a2, a1, edge, shift = map(np.array, (
         2.0 * alpha * alpha, 2.0 * alpha,
         np.float64(1.0 / alpha).view(np.int64) + 1, 63))
-    scratch = np.empty(out.shape)       # a1*sgn(t), then |t| and the mask
+    # the scratch holds a1*sgn(t), then |t| and the mask
     mask, bits = scratch.view(np.int64), out.view(np.int64)
 
     def g(t):
@@ -122,15 +125,15 @@ def _attract_l0(alpha: float, out):
     return g
 
 
-def _attract_za(alpha: float, out):
-    """Sign attractor -sgn(t); alpha is not read."""
+def _attract_za(alpha: float, out, scratch):
+    """Sign attractor -sgn(t); alpha and the scratch are not read."""
     return lambda t: np.negative(np.sign(t, out), out)
 
 
-def _attract_rza(alpha: float, out):
-    """Reweighted sign attractor -sgn(t) / (1 + alpha*|t|)."""
-    one, alpha = np.array(1.0), np.array(alpha)
-    den = np.empty(out.shape)
+def _attract_rza(alpha: float, out, scratch):
+    """Reweighted sign attractor -sgn(t) / (1 + alpha*|t|); the scratch
+    holds the denominator."""
+    one, alpha, den = np.array(1.0), np.array(alpha), scratch
 
     def g(t):
         np.add(one, np.multiply(alpha, np.abs(t, den), den), den)
@@ -138,9 +141,9 @@ def _attract_rza(alpha: float, out):
     return g
 
 
-# variant -> its attractor's preparer ``prepare(alpha, out)``; plain LMS
-# has none.  step(), the Monte Carlo engine and the theory read this one
-# table.
+# variant -> its attractor's preparer ``prepare(alpha, out, scratch)``;
+# plain LMS has none.  step(), the Monte Carlo engine and the theory read
+# this one table.
 ATTRACTORS = {
     Variant.L0LMS: _attract_l0,
     Variant.ZALMS: _attract_za,
@@ -152,7 +155,8 @@ def attract(variant: Variant, t, alpha: float):
     """g(t) of the variant's attractor at ``alpha``, prepared for this one
     call: a new array of t's shape, a numpy float for a scalar t."""
     t = np.asarray(t, dtype=float)
-    return ATTRACTORS[variant](alpha, np.empty(t.shape))(t)[()]
+    return ATTRACTORS[variant](alpha, np.empty(t.shape),
+                               np.empty(t.shape))(t)[()]
 
 
 def step(w, x, d: float, params: AlgoParams):

@@ -40,15 +40,17 @@ weights, and every piece keeps the bits of the per-step form:
   loop for the reversed, negatively strided delay-line window, BLAS for
   a contiguous i.i.d. regressor.  The error then rounds as
   ``(x.s + v) - x.w``, as in ``kernels.step``.
-- The update, the deviation and the attraction are written into
-  preallocated buffers that the points of a group share.  The attractor
-  comes from ``kernels.ATTRACTORS``, prepared once per point for its
-  alpha and the attraction buffer (its constants and one scratch row per
-  row) and evaluated in place; the l0 attractor clears the taps outside
-  its range by a bit mask, not a select.  The step's ufuncs and the
-  error column are bound once per run, the block's regressors and
-  desired outputs by step once per block, and a point's state and
-  deviation columns once per point and block, all outside the step.
+- The engine owns every array a step writes: the update, the deviation,
+  the attraction and the attractor's scratch are four buffers, allocated
+  once per run and shared by the points of a group, which step one after
+  another.  The attractor comes from ``kernels.ATTRACTORS``, prepared
+  once per point for its alpha on the shared attraction buffer and
+  scratch (it allocates nothing) and evaluated in place; the l0
+  attractor clears the taps outside its range by a bit mask, not a
+  select.  The step's ufuncs and the error column are bound once per
+  run, the block's regressors and desired outputs by step once per
+  block, and a point's state and deviation columns once per point and
+  block, all outside the step.
 - ||w||^2 <= 2||w - s||^2 + 2||s||^2, so while the deviations of a step
   sum to at most limit / (2(1 + 1e-3)) - ||s||^2 (the least over the
   rows), no row can have crossed its divergence limit.  The 1e-3 margin
@@ -107,6 +109,10 @@ _BLOCK = 1 << 14            # samples per stream block, all rows together
 _BLOCK_REGRESSORS = 8       # but at least this many regressors per row
 # bytes of one trial's two stream generators: RSS grew 1.2-1.6 kB per trial
 _GENERATOR_BYTES = 1600
+# bytes of a run's Python objects (array headers, closures, the step's
+# temporaries) and of each point's more, as tracemalloc counts them: about
+# 7 KiB and 0.6 KiB
+_RUN_BYTES, _POINT_BYTES = 8192, 1024
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -402,28 +408,38 @@ class Trajectory:
 def require_memory(specs, rows: int) -> None:
     """Refuse a run of ``rows`` series of each point of a group (one spec
     or a sequence, as :func:`run_trials` takes) whose arrays cannot fit.
-    Each row holds, once for the group, its two stream generators, five
-    L-wide rows (the system twice: the drawn ``(rows, L)`` array and a
-    worker's copy of its shard; the shared update, deviation and
-    attraction buffers) and two stream blocks, the one in use and the
-    next: an L-wide row each on the delay line, eight regressors each
-    when i.i.d.  Each point adds, per row, its ``iterations + 1``
-    deviations and three L-wide rows: its weights, their running sum and
-    its attractor's scratch row.  The per-block noise, desired outputs
-    (and their copy by step), new samples and their temporaries add six
-    arrays of at most ``8 * rows + 2^14`` doubles.  The estimate is a
-    float (inf past its range); a ValueError names it, the group's series
-    count and the step count to four digits, when it exceeds physical
-    memory; without ``os.sysconf`` the check is skipped."""
+
+    Per point, each row holds its ``iterations + 1`` deviations and its
+    weights, one L-wide row.  Per group, each row holds its two stream
+    generators, six L-wide rows (the system twice: the drawn ``(rows,
+    L)`` array and a worker's copy of its shard; and the four step
+    buffers: update, deviation, attraction and the attractor's scratch),
+    two stream blocks, the one in use and the next, of k regressors each
+    (k + L - 1 samples on the delay line, k * L when i.i.d.), and five
+    arrays of k doubles: a block's noise, desired outputs, their sum, its
+    copy by step and the last block's.  k is the block's regressor count
+    (about 2^14 samples over all rows, at least 8, at most the step
+    count).  A run's Python objects add ``_RUN_BYTES``, and each point's
+    ``_POINT_BYTES``.  A run that records time-averaged weights
+    (``run_trials``' ``record_weights_from``, which :func:`monte_carlo`
+    never passes) holds one more L-wide row per point and row, not
+    counted here.
+
+    The estimate is a float (inf past its range); a ValueError names it,
+    the group's series count and the step count to four digits, when it
+    exceeds physical memory; without ``os.sysconf`` the check is
+    skipped."""
     group = _group(specs)
     spec = group[0]
     n_iter = iteration_count(spec)
-    block = _BLOCK_REGRESSORS if spec.input_model == "iid" else 1
+    iid = spec.input_model == "iid"
+    k = min(_block_regressors(rows, spec.L, iid), n_iter)
     r, L = float(rows), float(spec.L)
-    need = (r * _GENERATOR_BYTES
-            + 8 * (r * (len(group) * (n_iter + 1 + 3 * L)
-                        + (5 + 2 * block) * L)
-                   + 6 * (_BLOCK_REGRESSORS * r + _BLOCK)))
+    samples = k * L if iid else L - 1 + k     # one stream block, per row
+    need = (_RUN_BYTES + len(group) * _POINT_BYTES
+            + r * (_GENERATOR_BYTES
+                   + 8 * (len(group) * (n_iter + 1 + L) + 6 * L
+                          + 2 * samples + 5 * k)))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -433,6 +449,12 @@ def require_memory(specs, rows: int) -> None:
             f"{len(group) * rows:.4g} series of {n_iter:.4g} steps at "
             f"L={spec.L:.4g} need about {need / 2**30:.3g} GiB, more than "
             f"the {have / 2**30:.3g} GiB of physical memory")
+
+
+def _block_regressors(rows: int, L: int, iid: bool) -> int:
+    """Regressors per row in one stream block: about ``_BLOCK`` samples
+    over all rows, but at least ``_BLOCK_REGRESSORS``."""
+    return max(_BLOCK_REGRESSORS, _BLOCK // max(1, rows * (L if iid else 1)))
 
 
 def _draw(rngs, n: int, scale: float) -> np.ndarray:
@@ -446,23 +468,25 @@ def _draw(rngs, n: int, scale: float) -> np.ndarray:
 
 class _PointRun:
     """One point's own state in a group's run: the point's deviations,
-    divergence steps, weights and their running sum, per-row step sizes
-    (0 once a row diverges) and its attraction ``g`` (None when it adds
-    none), prepared to write into the group's shared attraction buffer
-    ``pull``."""
+    divergence steps, weights, their running sum (None unless weights
+    are recorded), per-row step sizes (0 once a row diverges) and its
+    attraction ``g`` (None when it adds none), prepared on the group's
+    shared attraction buffer ``pull`` and ``scratch``."""
 
     __slots__ = ("dev", "diverged_at", "W", "wsum", "mu", "g", "kappa")
 
-    def __init__(self, spec: ExperimentSpec, dev0, n_iter: int, pull):
+    def __init__(self, spec: ExperimentSpec, dev0, n_iter: int, pull,
+                 scratch, record: bool):
         params = _scalar_params(spec)
         rows, L = pull.shape
         self.dev = np.empty((rows, n_iter + 1))
         self.dev[:, 0] = dev0
         self.diverged_at = np.zeros(rows, dtype=int)    # 0: did not diverge
-        self.W, self.wsum = np.zeros((rows, L)), np.zeros((rows, L))
+        self.W = np.zeros((rows, L))
+        self.wsum = np.zeros((rows, L)) if record else None
         self.mu = np.full(rows, params.mu)
         prepare = ATTRACTORS.get(params.variant)
-        self.g = (prepare(params.alpha, pull)
+        self.g = (prepare(params.alpha, pull, scratch)
                   if prepare and params.kappa else None)
         self.kappa = np.array(params.kappa)
 
@@ -517,9 +541,11 @@ def run_trials(specs, systems, first: int = 0,
     record_from = (None if record_weights_from is None
                    else max(1, record_weights_from))
     # the step buffers every point writes: update, deviation, attraction
-    upd, diff, pull = np.empty((3, rows, L))
+    # and the attractor's scratch
+    upd, diff, pull, scratch = np.empty((4, rows, L))
     dev0 = np.vecdot(S, S)
-    points = [_PointRun(sp, dev0, n_iter, pull) for sp in group]
+    points = [_PointRun(sp, dev0, n_iter, pull, scratch,
+                        record_from is not None) for sp in group]
     live = [p for p in points if not p.diverged_at.all()]   # none if no rows
     limit = DIVERGENCE_FACTOR * np.maximum(1.0, dev0)
     # while a step's deviations sum to at most `safe`, no ||w||^2 can
@@ -535,7 +561,7 @@ def run_trials(specs, systems, first: int = 0,
 
     e = np.empty(rows)
     X = _draw(inputs, 0 if iid else L - 1, sx)  # delay line: warm start
-    block = max(_BLOCK_REGRESSORS, _BLOCK // max(1, rows * (L if iid else 1)))
+    block = _block_regressors(rows, L, iid)
     # bound once for the step: the ufuncs (outputs go by position) and
     # the error as a column
     vecdot, subtract, multiply, add = (np.vecdot, np.subtract, np.multiply,
@@ -601,18 +627,28 @@ class Trajectories(tuple):
         return sum(t.n_diverged for t in self)
 
 
-def _trajectory(dev: np.ndarray, diverged_at: np.ndarray) -> Trajectory:
-    """The Trajectory of one point's trial rows, in trial order."""
-    trials = dev.shape[0]
+def _trajectory(devs, ats) -> Trajectory:
+    """The Trajectory of one point from its shards' ``dev`` and
+    ``diverged_at`` arrays, in trial order.  The deviation rows are added
+    into ``msd`` one at a time in trial order, which gives the bits of
+    numpy's axis-0 sum over all of them (at two entries or more, and a
+    series has at least two) without joining the shards."""
+    diverged_at = np.concatenate(ats)
+    trials = diverged_at.size
     n_div = int(np.count_nonzero(diverged_at))
     keep = int(diverged_at[diverged_at > 0].min()) + 1 if n_div \
-        else dev.shape[1]
-    msd = dev[:, :keep].sum(axis=0) / trials    # rows in trial order
+        else devs[0].shape[1]
+    msd = np.zeros(keep)
+    for dev in devs:
+        for row in dev[:, :keep]:
+            msd += row
+    msd /= trials
     window = max(1, int(round(0.1 * msd.size)))
     return Trajectory(
         msd=msd, trials=trials, n_diverged=n_div,
         steady_estimate=math.nan if n_div else float(np.mean(msd[-window:])),
-        trial_steady=None if n_div else dev[:, -window:].mean(axis=1))
+        trial_steady=None if n_div else np.concatenate(
+            [dev[:, -window:].mean(axis=1) for dev in devs]))
 
 
 def monte_carlo(specs, workers: int = 1):
@@ -653,14 +689,7 @@ def monte_carlo(specs, workers: int = 1):
                                       zip(edges, edges[1:])], edges[:-1]))
     else:
         parts = [run(S, 0)]
-    trajs = []
-    for i in range(len(group)):
-        # the point's rows in trial order; the parts drop each point's
-        # shards as it is joined, so one point's copy is made at a time
-        devs, ats, _ = zip(*(part[i] for part in parts))
-        for part in parts:
-            part[i] = None
-        trajs.append(_trajectory(*(np.concatenate(x) if shards > 1 else x[0]
-                                   for x in (devs, ats))))
-    trajs = Trajectories(trajs)
+    # each point's shards, in trial order
+    trajs = Trajectories(_trajectory(*zip(*(r[:2] for r in point)))
+                         for point in zip(*parts))
     return trajs[0] if isinstance(specs, ExperimentSpec) else trajs

@@ -100,13 +100,35 @@ def test_attractor_out_is_bit_identical(variant, t, alpha):
     t = np.array(t + _range_edges(alpha))
     before, buf = t.copy(), np.full(t.shape, np.nan)
     want = _PLAIN[variant](t, alpha)
-    g = ATTRACTORS[variant](alpha, buf)
+    g = ATTRACTORS[variant](alpha, buf, np.full(t.shape, np.nan))
     assert g(t) is buf
     assert buf.tobytes() == want.tobytes()
     assert attract(variant, t, alpha).tobytes() == want.tobytes()
     assert t.tobytes() == before.tobytes()
     other = -0.5 * t[::-1]
     assert g(other).tobytes() == _PLAIN[variant](other, alpha).tobytes()
+
+
+@pytest.mark.parametrize("variant", sorted(ATTRACTORS))
+def test_prepared_attractor_allocates_nothing(variant):
+    """A preparer and its g(t) allocate no array of t's size: g writes only
+    the ``out`` and scratch it was given, returns ``out`` and leaves ``t``
+    untouched."""
+    import tracemalloc
+    t = np.linspace(-0.2, 0.2, 100_000)
+    before, out, scratch = t.copy(), np.empty(t.shape), np.empty(t.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = ATTRACTORS[variant](10.0, out, scratch)
+        assert g(t) is out
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes // 10
+    assert t.tobytes() == before.tobytes()
+    assert out.tobytes() == _PLAIN[variant](t, 10.0).tobytes()
 
 
 @given(t=st.floats(-1e3, 1e3), alpha=st.floats(1e-3, 1e3))

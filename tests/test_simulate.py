@@ -728,7 +728,7 @@ def test_memory_refusal_is_one_short_line():
     """The refusal of a run far past memory, or past the float range,
     gives its counts to four digits: no count prints its whole integer."""
     spec = small_spec(L=10 ** 300, Q=2, mu=1e-303, iterations=10 ** 300)
-    for rows, need in ((6, "4.92e+293"), (10 ** 307, "inf")):
+    for rows, need in ((6, "4.47e+293"), (10 ** 307, "inf")):
         with pytest.raises(ValueError) as e:
             require_memory(spec, rows)
         assert str(e.value).startswith(
@@ -853,3 +853,97 @@ def test_require_memory_counts_generators_and_systems(monkeypatch):
     with pytest.raises(ValueError, match="GiB"):
         require_memory(spec, spec.trials)
     require_memory(spec, 1_000_000)                 # about 1.7 GB fits
+
+
+# (L, rows, steps, points, input model): groups of 1-4 mixed variants
+_MEMORY_CASES = [
+    (16, 1, 3000, 1, "delay_line"), (16, 200, 500, 4, "iid"),
+    (250, 5, 6000, 4, "delay_line"), (250, 1, 200, 2, "iid"),
+    (1000, 10, 1000, 4, "iid"), (1000, 10, 1000, 3, "delay_line"),
+    (64, 200, 300, 2, "iid"), (5000, 4, 100, 3, "delay_line"),
+    (5000, 1, 100, 1, "iid"),
+]
+
+
+@pytest.mark.parametrize("L, rows, steps, points, model", _MEMORY_CASES)
+def test_require_memory_counts_what_run_trials_allocates(
+        monkeypatch, L, rows, steps, points, model):
+    """The memory estimate is at least the traced peak of drawing the
+    systems and running the engine, and at most twice it.  The estimate
+    is read through a patched ``os.sysconf``: physical memory one byte
+    below the peak is refused, twice the peak is not."""
+    import tracemalloc
+    variants = [Variant.L0LMS, Variant.RZALMS, Variant.ZALMS, Variant.LMS]
+    base = small_spec(L=L, Q=max(1, L // 10), trials=rows, iterations=steps,
+                      input_model=model, mu=2e-3 * 32 / L, kappa=1e-6)
+    group = [replace(base, variants=(variants[i],), kappa=1e-6 * (i + 1))
+             for i in range(points)]
+    run_trials(small_spec(L=4, Q=1, iterations=20, input_model=model),
+               np.zeros((1, 4)))                    # one-time set-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        systems = np.array([gen_system(L, base.Q, base.seed, trial=t)
+                            for t in range(rows)])
+        run_trials(group, systems)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    for have, fits in ((peak - 1, False), (2 * peak, True)):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+        monkeypatch.setattr(simulate.os, "sysconf", pages.__getitem__)
+        if fits:
+            require_memory(group, rows)
+        else:
+            with pytest.raises(ValueError, match="GiB"):
+                require_memory(group, rows)
+
+
+def test_run_trials_owns_one_scratch_per_group(monkeypatch):
+    """One run_trials call hands every point of a group the same
+    attraction buffer and the same scratch, and a point holds a running
+    weight sum only when weights are recorded."""
+    seen, made = [], []
+    for variant, prepare in simulate.ATTRACTORS.items():
+        monkeypatch.setitem(
+            simulate.ATTRACTORS, variant,
+            lambda alpha, out, scratch, prepare=prepare: seen.append(
+                (out, scratch)) or prepare(alpha, out, scratch))
+    point_run = simulate._PointRun
+    monkeypatch.setattr(simulate, "_PointRun", lambda *a: made.append(
+        point_run(*a)) or made[-1])
+    group = [small_spec(variants=(v,), kappa=1e-5)
+             for v in (Variant.L0LMS, Variant.RZALMS, Variant.ZALMS,
+                       Variant.L0LMS, Variant.LMS)]
+    systems = np.array([gen_system(32, 4, 1, trial=t) for t in range(3)])
+    run_trials(group, systems)
+    assert len(seen) == 4
+    assert all(o is seen[0][0] and s is seen[0][1] for o, s in seen)
+    assert seen[0][0] is not seen[0][1]
+    assert all(p.wsum is None for p in made)
+    made.clear()
+    run_trials(group, systems, record_weights_from=10)
+    assert len(made) == 5 and all(p.wsum.shape == (3, 32) for p in made)
+
+
+def test_stream_gen_system_and_kappa_refusals(monkeypatch):
+    """The range refusals of ``stream`` and ``gen_system`` give their
+    messages as written; a numeric kappa resolves to itself as a float;
+    without ``os.sysconf`` the memory check is skipped."""
+    for args, msg in (((-1, 0, 0), "seed must fit in an unsigned 64-bit "
+                                   "integer"),
+                      ((1, 2 ** 48, 0), "trial index out of range"),
+                      ((1, 0, 0x10000), "role out of range")):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            stream(*args)
+    with pytest.raises(ValueError, match=r"^need 0 <= Q <= L, got Q=5, L=4$"):
+        gen_system(4, 5, seed=1)
+    kappa = resolve_kappa(small_spec(kappa=3))
+    assert kappa == 3.0 and type(kappa) is float
+
+    def no_sysconf(name):
+        raise OSError("no sysconf")
+    monkeypatch.setattr(simulate.os, "sysconf", no_sysconf)
+    huge = small_spec(trials=10 ** 300, iterations=10 ** 300)
+    require_memory(huge, huge.trials)

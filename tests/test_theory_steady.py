@@ -513,3 +513,18 @@ def test_za_cancellation_is_a_range_refusal():
                 "rho=1e-06")):
             za_steady_msd(16, 0, mu, 1e-6, 1.0, 1e-4)
     assert za_steady_msd(16, 2, 1e-20, 1e-6, 1.0, 1e-4).d_inf_za == 2e28
+
+
+def test_signal_and_strengths_refusals():
+    """The refusals of ``SignalModel``, ``strengths`` and
+    ``_strengths_of`` give their messages as written."""
+    from sparselms import theory
+    with pytest.raises(ValueError, match=r"^Pv=0\.5 inconsistent with "
+                                         r"snr_db=10\.0 \(expected 0\.1\)$"):
+        theory.SignalModel(Px=1.0, Pv=0.5, snr_db=10.0, ref_power=1.0)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^alpha must be > 0$"):
+            theory.strengths(alpha, Q=2)
+    with pytest.raises(TypeError,
+                       match=r"^expected \(L, Q, AttractionStrengths\)$"):
+        theory._strengths_of((16, 2, object()), 10.0)
